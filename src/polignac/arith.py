@@ -5,12 +5,20 @@ Everything here is pure and exact.  Python's native integers are
 arbitrary precision, so primorials and counting products never overflow;
 a configurable bound on ``primorial`` still guards against runaway
 growth from bad arguments.
+
+All sieving goes through one kernel, ``_strike``, which clears the
+multiples of a list of primes from one segment of integers.
+``strike_segments`` drives it one ``SEGMENT_SIZE`` segment at a time;
+``prime_segments`` feeds it the base primes up to sqrt(hi), and the
+wheel feeds it the first k primes.  ``sieve_primes``, ``prime_count_pi``
+and the pair searches in ``primepairs`` all consume those segments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -21,22 +29,70 @@ MAX_PRIMORIAL_INDEX = 25
 # Default ceiling for exact pi(x) via the segmented sieve.
 SIEVE_BUDGET = 10**8
 
-# Witnesses proving primality for all n < 3.3e24 > 2^64 (Sorenson/Webster).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Values per sieve segment; keeps the working mask cache-resident.
+SEGMENT_SIZE = 1 << 22
 
-_MR_LIMIT = 1 << 64
+# Strong-probable-prime bases: the first 13 primes.  Sorenson & Webster
+# (2015) show they decide primality exactly below psi_13 (~3.3e24); the
+# first 12 alone are exact only below psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+_MR_LIMIT = 3317044064679887385961981  # psi_13
+
+
+def _strike(lo: int, hi: int, primes: Iterable[int]) -> np.ndarray:
+    """Mask over [lo, hi]: False at every multiple of a p in primes,
+    p itself included."""
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    for p in primes:
+        flags[(-lo) % p :: p] = False
+    return flags
+
+
+def _survivors(lo: int, hi: int, primes: list[int]) -> np.ndarray:
+    """Values in [lo, hi] that _strike leaves, as an int64 array."""
+    values = np.flatnonzero(_strike(lo, hi, primes))
+    values += lo
+    return values
+
+
+def strike_segments(
+    lo: int, hi: int, primes: list[int], size: int
+) -> Iterator[np.ndarray]:
+    """Values in [lo, hi] divisible by no p in primes, increasing, as one
+    int64 array per segment of `size` values.
+
+    The generator keeps no reference to a yielded array, so a consumer
+    that drops it frees the segment before the next one is struck.
+    """
+    while lo <= hi:
+        seg_hi = min(lo + size - 1, hi)
+        yield _survivors(lo, seg_hi, primes)
+        lo = seg_hi + 1
+
+
+def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Primes in [lo, hi], increasing, as int64 arrays.
+
+    The base primes up to sqrt(hi) come first, as one array; above
+    sqrt(hi) each SEGMENT_SIZE segment is struck with the base primes.
+    Every such segment starts above every base prime, so striking all
+    multiples leaves exactly the primes.
+    """
+    if hi < 2:
+        return
+    root = math.isqrt(hi)
+    base = sieve_primes(root)
+    if lo <= root:
+        yield base[np.searchsorted(base, lo) :]
+    yield from strike_segments(max(lo, root + 1), hi, base.tolist(), SEGMENT_SIZE)
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (plain sieve of Eratosthenes)."""
+    """All primes <= limit as an int64 array."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.concatenate(list(prime_segments(2, limit)))
 
 
 @dataclass
@@ -85,16 +141,16 @@ def primorial(k: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality: Miller-Rabin with a fixed witness set below
-    2^64, trial division above."""
+    """Deterministic primality by Miller-Rabin with a fixed witness set,
+    exact for every n below psi_13 ~ 3.3e24; larger n are refused."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n < _MR_LIMIT:
-        return _miller_rabin(n)
-    return _trial_division(n)
+    return _miller_rabin(n)
 
 
 def _miller_rabin(n: int) -> bool:
@@ -116,37 +172,13 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def _trial_division(n: int) -> bool:
-    f = 41  # witness set already covered primes up to 37
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_count_pi(x: int, budget: int = SIEVE_BUDGET) -> int:
-    """Exact count of primes <= x via a segmented sieve."""
+    """Exact count of primes <= x via the segmented sieve."""
     if x < 0:
         raise ValueError(f"pi(x) needs x >= 0, got {x}")
     if x > budget:
         raise ValueError(f"pi({x}) exceeds sieve budget {budget}")
-    if x < 2:
-        return 0
-    base = sieve_primes(math.isqrt(x))
-    count = int(np.searchsorted(base, x, side="right"))
-    segment = 1 << 22
-    lo = math.isqrt(x) + 1
-    while lo <= x:
-        hi = min(lo + segment - 1, x)
-        flags = np.ones(hi - lo + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = (-lo) % p
-            flags[start::p] = False
-        count += int(flags.sum())
-        lo = hi + 1
-    return count
+    return sum(len(primes) for primes in prime_segments(2, x))
 
 
 def mod_inverse(a: int, p: int) -> int:

@@ -1,7 +1,8 @@
 """Gap censuses, gap propagation, and pair-lineage counting.
 
-Covers: consecutive-pair streams and their gap histograms, the
-four-case classification of what one propagation step does to a pair
+Covers: consecutive-pair streams and their gap histograms (taken with
+numpy from the per-segment arrays of ``wheel.prospective_segments``),
+the four-case classification of what one propagation step does to a pair
 of adjacent gaps, exhaustive lineage trees for a single root pair with
 the closed-form count they must match, subset boundary-gap spectra,
 per-subset minimum counts, and the constant separation of the two
@@ -11,10 +12,11 @@ disallowed indices attached to a gap-g pair.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
+
+import numpy as np
 
 from .arith import is_prime, mod_inverse, nth_prime, primorial
 from .wheel import (
@@ -22,6 +24,7 @@ from .wheel import (
     enumerate_prospective,
     is_prospective,
     mhat,
+    prospective_segments,
     subset_extremes,
 )
 
@@ -77,10 +80,18 @@ def gap_census(
     hi: int | None = None,
     cap: int = ENUMERABLE_CAP,
 ) -> GapCensus:
-    """Exact gap histogram over the full window, one subset, or a range."""
+    """Exact gap histogram over the full window, one subset, or a range.
+
+    Each segment's gaps are taken in place, then histogrammed with
+    np.bincount; the last value of a segment is carried over so the gap
+    across a segment edge is counted too.
+    """
     if subset is not None:
         if lo is not None or hi is not None:
             raise ValueError("give either subset or an explicit range, not both")
+        p_k = nth_prime(k)
+        if not 0 <= subset <= p_k - 1:
+            raise ValueError(f"subset {subset} outside [0, {p_k - 1}] at level {k}")
         width = primorial(k - 1)
         lo = 5 + subset * width
         hi = 4 + (subset + 1) * width
@@ -89,10 +100,28 @@ def gap_census(
         scope = f"range:{lo}:{hi}"
     else:
         scope = "full"
-    counts: Counter[int] = Counter()
-    for _, _, g in consecutive_pairs(k, lo, hi, cap=cap):
-        counts[g] += 1
-    return GapCensus(level=k, scope=scope, entries=dict(counts))
+    counts = np.zeros(0, dtype=np.int64)
+    last = None
+    for values in prospective_segments(k, lo, hi, cap=cap):
+        if not len(values):
+            continue
+        first, final = int(values[0]), int(values[-1])
+        # Gaps overwrite the values in place (no second array); the freed
+        # last slot then holds the gap across the previous segment edge.
+        np.subtract(values[1:], values[:-1], out=values[:-1])
+        gaps = values[:-1]
+        if last is not None:
+            values[-1] = first - last
+            gaps = values
+        last = final
+        segment = np.bincount(gaps, minlength=len(counts))
+        segment[: len(counts)] += counts
+        counts = segment
+        # Drop this segment's array before the next one is struck, so
+        # only one segment's values are alive at a time.
+        del values, gaps
+    entries = {int(g): int(counts[g]) for g in np.flatnonzero(counts)}
+    return GapCensus(level=k, scope=scope, entries=entries)
 
 
 # ---------------------------------------------------------------------------

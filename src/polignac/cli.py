@@ -249,6 +249,10 @@ def _cmd_find_pair(args, config: RunConfig) -> int:
 
 
 def _cmd_export(args, config: RunConfig) -> int:
+    if args.what == "census" and args.level is None:
+        raise ValueError("export census needs -k/--level")
+    if args.what == "bounds" and None in (args.root_level, args.from_level, args.gap):
+        raise ValueError("export bounds needs -r/--root-level, -l/--from-level and -g/--gap")
     if args.what == "census":
         result = _build_census(args, config)
         fmt = args.format if args.format != "text" else "csv"

@@ -7,6 +7,12 @@ level, evaluates the lower bound on gap-g prime pairs inside
 (P_k, P_{k+1}^2) with k = pi(sqrt(P_l#)), tracks the growth of that
 bound from one level to the next, and searches for prime pairs above a
 threshold.
+
+Both sieve-bound computations stream the prime segments of
+``arith.prime_segments`` over just the range they need: pair counts add
+up ``np.diff(segment) == g`` per segment, and the pair search stops at
+the first segment holding a hit.  The last prime of each segment is
+carried into the next, so pairs straddling a segment edge are seen.
 """
 
 from __future__ import annotations
@@ -14,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import SIEVE_BUDGET, is_prime, nth_prime, prime_count_pi, primorial, sieve_primes
+from .arith import SIEVE_BUDGET, is_prime, nth_prime, prime_count_pi, prime_segments, primorial
 from .census import predicted_derived_count
 from .wheel import ENUMERABLE_CAP, enumerate_prospective
 
@@ -31,20 +37,30 @@ def k_for_level(l: int, budget: int = SIEVE_BUDGET) -> int:
     return prime_count_pi(math.isqrt(primorial(l)), budget=budget)
 
 
-def _consecutive_primes_upto(hi: int, budget: int = SIEVE_BUDGET) -> np.ndarray:
-    if hi > budget:
-        raise ValueError(f"sieve bound {hi} exceeds budget {budget}")
-    return sieve_primes(hi)
+def _consecutive_prime_pairs(
+    lo: int, hi: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive primes q < q' in [lo, hi], segment by segment: yields
+    (lower members, gaps) per prime segment, the first gap of a segment
+    being the one from the previous segment's last prime."""
+    last = None
+    for primes in prime_segments(lo, hi):
+        if not len(primes):
+            continue
+        if last is not None:
+            primes = np.concatenate(([last], primes))
+        last = int(primes[-1])
+        yield primes[:-1], np.diff(primes)
 
 
 def actual_pair_count(g: int, lo: int, hi: int, budget: int = SIEVE_BUDGET) -> int:
     """Consecutive-prime pairs (q, q') with q' - q = g and lo < q, q' < hi."""
-    primes = _consecutive_primes_upto(max(hi - 1, 0), budget=budget)
-    count = 0
-    for q, q_next in zip(primes, primes[1:]):
-        if q > lo and q_next < hi and q_next - q == g:
-            count += 1
-    return count
+    if hi - 1 > budget:
+        raise ValueError(f"sieve bound {hi - 1} exceeds budget {budget}")
+    return sum(
+        int(np.count_nonzero(gaps == g))
+        for _, gaps in _consecutive_prime_pairs(lo + 1, hi - 1)
+    )
 
 
 class LowerBound(NamedTuple):
@@ -151,10 +167,13 @@ def find_pair_above(
         raise ValueError(f"gap must be even and >= 2, got {g}")
     if search_limit <= m:
         return None
-    primes = _consecutive_primes_upto(search_limit, budget=budget)
-    for q, q_next in zip(primes, primes[1:]):
-        if q > m and q_next - q == g:
-            return int(q), int(q_next)
+    if search_limit > budget:
+        raise ValueError(f"sieve bound {search_limit} exceeds budget {budget}")
+    for lower, gaps in _consecutive_prime_pairs(m + 1, search_limit):
+        hits = np.flatnonzero(gaps == g)
+        if len(hits):
+            q = int(lower[hits[0]])
+            return q, q + g
     return None
 
 

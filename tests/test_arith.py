@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from polignac.arith import (
@@ -58,8 +61,44 @@ def test_is_prime_matches_trial_division_exhaustive(small_primes):
 
 
 def test_is_prime_above_64_bits():
-    assert is_prime((1 << 61) - 1)  # Mersenne prime, below the MR cutoff
-    assert not is_prime((1 << 64) + 1)  # 274177 * 67280421310721, trial division
+    assert is_prime((1 << 61) - 1)  # Mersenne prime
+    assert not is_prime((1 << 64) + 1)  # 274177 * 67280421310721, Miller-Rabin
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the body runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_is_prime_psi12_needs_base_41():
+    # 399165290221 * 798330580441: a strong pseudoprime to every base 2..37
+    with deadline(1.0):
+        assert not is_prime(318665857834031151167461)
+
+
+def test_is_prime_large_prime_is_fast():
+    with deadline(1.0):
+        assert is_prime((1 << 64) + 13)  # least prime above 2^64
+        assert is_prime((1 << 71) - 231)  # a prime just below 2^71
+
+
+def test_is_prime_refuses_from_psi13():
+    psi13 = 3317044064679887385961981
+    with deadline(1.0):
+        assert is_prime(psi13 - 168)  # the largest prime below psi_13
+        with pytest.raises(ValueError):
+            is_prime(psi13)
 
 
 def test_pi_examples():

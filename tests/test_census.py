@@ -61,6 +61,17 @@ def test_gap_census_against_oracle():
     assert gap_census(5).entries == dict(expected)
 
 
+def test_gap_census_entries_are_plain_ints():
+    entries = gap_census(4).entries
+    assert all(type(g) is int and type(c) is int for g, c in entries.items())
+
+
+@pytest.mark.parametrize("m", [-1, 11, 40])
+def test_gap_census_rejects_out_of_range_subset(m):
+    with pytest.raises(ValueError):
+        gap_census(5, subset=m)
+
+
 # ---------------------------------------------------------------------------
 # counting theorem
 

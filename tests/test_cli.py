@@ -84,6 +84,27 @@ def test_range_error_exits_1(capsys):
     assert "error" in err
 
 
+def test_census_subset_out_of_range_exits_1(capsys):
+    code, out, err = run(capsys, "census", "-k", "4", "-m", "40")
+    assert code == 1
+    assert out == "" and "subset 40" in err
+
+
+def test_export_census_without_level_exits_1(capsys):
+    code, _, err = run(capsys, "export", "census")
+    assert code == 1
+    assert "-k" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["-l", "5", "-g", "2"], ["-r", "2", "-g", "2"], ["-r", "2", "-l", "5"]]
+)
+def test_export_bounds_without_flags_exits_1(capsys, flags):
+    code, _, err = run(capsys, "export", "bounds", *flags)
+    assert code == 1
+    assert "-r" in err
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "--all", "--max-level", "5")
     assert code == 0
