@@ -8,7 +8,9 @@ growth from bad arguments.
 
 All sieving goes through one kernel, ``_strike``, which clears the
 multiples of a list of primes from one segment of integers.
-``strike_segments`` drives it one ``SEGMENT_SIZE`` segment at a time;
+``strike_segments`` drives it one ``SEGMENT_SIZE`` segment at a time
+and yields each segment's survivors as int64 offsets from the segment's
+start, a Python int, so segments past 2^63 stay exact.
 ``prime_segments`` feeds it the base primes up to sqrt(hi), and the
 wheel feeds it the first k primes.  ``sieve_primes``, ``prime_count_pi``
 and the pair searches in ``primepairs`` all consume those segments.
@@ -39,6 +41,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _MR_LIMIT = 3317044064679887385961981  # psi_13
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _strike(lo: int, hi: int, primes: Iterable[int]) -> np.ndarray:
     """Mask over [lo, hi]: False at every multiple of a p in primes,
@@ -49,25 +53,19 @@ def _strike(lo: int, hi: int, primes: Iterable[int]) -> np.ndarray:
     return flags
 
 
-def _survivors(lo: int, hi: int, primes: list[int]) -> np.ndarray:
-    """Values in [lo, hi] that _strike leaves, as an int64 array."""
-    values = np.flatnonzero(_strike(lo, hi, primes))
-    values += lo
-    return values
-
-
 def strike_segments(
-    lo: int, hi: int, primes: list[int], size: int
-) -> Iterator[np.ndarray]:
-    """Values in [lo, hi] divisible by no p in primes, increasing, as one
-    int64 array per segment of `size` values.
+    lo: int, hi: int, primes: list[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Values in [lo, hi] divisible by no p in primes, increasing, as
+    one (start, offsets) pair per SEGMENT_SIZE segment: the survivors
+    are start + offsets, with offsets an int64 array.
 
     The generator keeps no reference to a yielded array, so a consumer
     that drops it frees the segment before the next one is struck.
     """
     while lo <= hi:
-        seg_hi = min(lo + size - 1, hi)
-        yield _survivors(lo, seg_hi, primes)
+        seg_hi = min(lo + SEGMENT_SIZE - 1, hi)
+        yield lo, np.flatnonzero(_strike(lo, seg_hi, primes))
         lo = seg_hi + 1
 
 
@@ -81,11 +79,16 @@ def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     """
     if hi < 2:
         return
+    if hi > _INT64_MAX:
+        raise ValueError(f"prime segments hold int64 values, got hi={hi}")
     root = math.isqrt(hi)
     base = sieve_primes(root)
     if lo <= root:
         yield base[np.searchsorted(base, lo) :]
-    yield from strike_segments(max(lo, root + 1), hi, base.tolist(), SEGMENT_SIZE)
+    for start, primes in strike_segments(max(lo, root + 1), hi, base.tolist()):
+        primes += start
+        yield primes
+        del primes  # free this segment before the next one is struck
 
 
 def sieve_primes(limit: int) -> np.ndarray:

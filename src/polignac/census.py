@@ -1,7 +1,7 @@
 """Gap censuses, gap propagation, and pair-lineage counting.
 
 Covers: consecutive-pair streams and their gap histograms (taken with
-numpy from the per-segment arrays of ``wheel.prospective_segments``),
+numpy from the per-segment offsets of ``wheel.prospective_segments``),
 the four-case classification of what one propagation step does to a pair
 of adjacent gaps, exhaustive lineage trees for a single root pair with
 the closed-form count they must match, subset boundary-gap spectra,
@@ -82,9 +82,11 @@ def gap_census(
 ) -> GapCensus:
     """Exact gap histogram over the full window, one subset, or a range.
 
-    Each segment's gaps are taken in place, then histogrammed with
-    np.bincount; the last value of a segment is carried over so the gap
-    across a segment edge is counted too.
+    Gaps do not change under translation, so each segment's gaps are
+    taken in place from its int64 offsets, then histogrammed with
+    np.bincount.  The last value of a segment is carried over as a
+    Python int, so the gap across a segment edge is counted too, and
+    ranges past 2^63 stay exact.
     """
     if subset is not None:
         if lo is not None or hi is not None:
@@ -102,24 +104,24 @@ def gap_census(
         scope = "full"
     counts = np.zeros(0, dtype=np.int64)
     last = None
-    for values in prospective_segments(k, lo, hi, cap=cap):
-        if not len(values):
+    for start, offsets in prospective_segments(k, lo, hi, cap=cap):
+        if not len(offsets):
             continue
-        first, final = int(values[0]), int(values[-1])
-        # Gaps overwrite the values in place (no second array); the freed
-        # last slot then holds the gap across the previous segment edge.
-        np.subtract(values[1:], values[:-1], out=values[:-1])
-        gaps = values[:-1]
+        first, final = start + int(offsets[0]), start + int(offsets[-1])
+        # Gaps overwrite the offsets in place (no second array); the
+        # freed last slot then holds the gap across the previous edge.
+        np.subtract(offsets[1:], offsets[:-1], out=offsets[:-1])
+        gaps = offsets[:-1]
         if last is not None:
-            values[-1] = first - last
-            gaps = values
+            offsets[-1] = first - last
+            gaps = offsets
         last = final
         segment = np.bincount(gaps, minlength=len(counts))
         segment[: len(counts)] += counts
         counts = segment
         # Drop this segment's array before the next one is struck, so
         # only one segment's values are alive at a time.
-        del values, gaps
+        del offsets, gaps
     entries = {int(g): int(counts[g]) for g in np.flatnonzero(counts)}
     return GapCensus(level=k, scope=scope, entries=entries)
 

@@ -40,7 +40,7 @@ def check_prospective_counts(max_level: int) -> CheckResult:
     """|prospectives at level k| equals prod (P_i - 1)."""
     for k in range(2, min(max_level, 8) + 1):
         expected = math.prod(nth_prime(i) - 1 for i in range(1, k + 1))
-        observed = sum(len(values) for values in prospective_segments(k))
+        observed = sum(len(offsets) for _, offsets in prospective_segments(k))
         if observed != expected:
             return CheckResult(
                 "prospective-counts", False, f"k={k}: {observed} != {expected}"

@@ -8,10 +8,11 @@ level to the next by adding m * P_k#, with exactly one residue m
 (the disallowed index) producing a multiple of P_{k+1}.
 
 Prospective primes are found by the sieve kernel in ``arith``: each
-``SEGMENT_SIZE`` segment of the window has the multiples of P_1..P_k
-struck out, and ``prospective_segments`` yields the survivors as one
-array per segment.  Array consumers (the gap census) read those arrays
-directly; ``enumerate_prospective`` iterates over them value by value.
+``arith.SEGMENT_SIZE`` segment of the window has the multiples of
+P_1..P_k struck out, and ``prospective_segments`` yields the survivors
+as one (start, offsets) pair per segment.  Array consumers (the gap
+census) read the offsets directly; ``enumerate_prospective`` adds the
+start back value by value, as Python ints, so windows past 2^63 work.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import SEGMENT_SIZE, mod_inverse, nth_prime, primorial, strike_segments
+from .arith import mod_inverse, nth_prime, primorial, strike_segments
 
 # Full-window enumeration beyond this level is refused by default.  On a
 # 2-core Xeon a full census takes 0.6 s at level 9 (P_9# ~ 2.2e8) and
@@ -81,10 +82,10 @@ def prospective_segments(
     lo: int | None = None,
     hi: int | None = None,
     cap: int = ENUMERABLE_CAP,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[int, np.ndarray]]:
     """Prospective primes of level k in [lo, hi], increasing, as one
-    int64 array per SEGMENT_SIZE segment of the range (arrays may be
-    empty)."""
+    (start, offsets) pair per segment of the range, as
+    ``arith.strike_segments`` yields them (offsets may be empty)."""
     if k < 2:
         raise ValueError(f"level must be >= 2, got {k}")
     if k > cap:
@@ -93,7 +94,7 @@ def prospective_segments(
     lo = window.lo if lo is None else max(lo, window.lo)
     hi = window.hi if hi is None else min(hi, window.hi)
     wheel = [nth_prime(i) for i in range(1, k + 1)]
-    return strike_segments(lo, hi, wheel, SEGMENT_SIZE)
+    return strike_segments(lo, hi, wheel)
 
 
 def enumerate_prospective(
@@ -104,8 +105,8 @@ def enumerate_prospective(
 ) -> Iterator[int]:
     """All prospective primes of level k in [lo, hi], increasing, as
     Python ints."""
-    for values in prospective_segments(k, lo, hi, cap=cap):
-        yield from values.tolist()
+    for start, offsets in prospective_segments(k, lo, hi, cap=cap):
+        yield from (start + offset for offset in offsets.tolist())
 
 
 def mhat(p_tilde: int, k_next: int) -> DisallowedIndex:

@@ -1,8 +1,9 @@
 """Segment-edge behaviour of the one sieve kernel.
 
-Both segment sizes are shrunk to 64 values so that small ranges cross
-many segment edges; every expected value comes from the brute-force
-oracles in conftest, never from the code under test."""
+The segment size, ``arith.SEGMENT_SIZE``, is shrunk to 64 values so
+that small ranges cross many segment edges; every expected value comes
+from the brute-force oracles in conftest, never from the code under
+test."""
 
 import bisect
 from collections import Counter
@@ -12,6 +13,7 @@ import pytest
 from polignac import arith, wheel
 from polignac.arith import nth_prime, prime_count_pi, primorial
 from polignac.census import gap_census
+from polignac.cli import main
 from polignac.primepairs import actual_pair_count, find_pair_above
 from conftest import oracle_primes, oracle_prospective
 
@@ -20,7 +22,6 @@ SEG = 64
 
 @pytest.fixture
 def small_segments(monkeypatch):
-    monkeypatch.setattr(wheel, "SEGMENT_SIZE", SEG)
     monkeypatch.setattr(arith, "SEGMENT_SIZE", SEG)
 
 
@@ -98,3 +99,41 @@ def test_prime_count_pi_across_segments(small_segments):
     primes = oracle_primes(20000)
     for x in (0, 1, 2, 3, 4, SEG - 1, SEG, SEG + 1, 4095, 4096, 4097, 20000):
         assert prime_count_pi(x) == bisect.bisect_right(primes, x), x
+
+
+# Level 16 runs past 2^63 (P_16# ~ 3.3e19): values there no longer fit
+# an int64, so segments must carry them as offsets from a Python int.
+INT64_EDGE = 1 << 63
+BIG_RANGES = [
+    (INT64_EDGE - 500, INT64_EDGE + 500),  # straddles 2^63
+    (INT64_EDGE + 1000, INT64_EDGE + 2000),  # wholly above it
+]
+
+
+@pytest.mark.parametrize("lo, hi", BIG_RANGES)
+def test_prospective_past_int64(lo, hi):
+    assert list(wheel.enumerate_prospective(16, lo, hi, cap=16)) == (
+        oracle_prospective(16, lo, hi)
+    )
+    assert gap_census(16, lo=lo, hi=hi, cap=16).entries == oracle_census(16, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", BIG_RANGES)
+def test_prospective_past_int64_across_segments(small_segments, lo, hi):
+    assert list(wheel.enumerate_prospective(16, lo, hi, cap=16)) == (
+        oracle_prospective(16, lo, hi)
+    )
+    assert gap_census(16, lo=lo, hi=hi, cap=16).entries == oracle_census(16, lo, hi)
+
+
+def test_gen_past_int64(capsys):
+    lo, hi = BIG_RANGES[0]
+    assert main(["--cap", "16", "gen", "-k", "16", "--range", f"{lo}:{hi}"]) == 0
+    assert capsys.readouterr().out.split() == [
+        str(n) for n in oracle_prospective(16, lo, hi)
+    ]
+
+
+def test_prime_segments_refuse_past_int64():
+    with pytest.raises(ValueError, match="int64"):
+        next(arith.prime_segments(INT64_EDGE, INT64_EDGE + 10))
