@@ -21,11 +21,13 @@ import numpy as np
 from .arith import is_prime, mod_inverse, nth_prime, primorial
 from .wheel import (
     ENUMERABLE_CAP,
+    WheelWindow,
     enumerate_prospective,
     is_prospective,
     mhat,
     prospective_segments,
     subset_extremes,
+    subset_of,
 )
 
 # Spans wider than this make the lineage tree explode (product of
@@ -91,12 +93,7 @@ def gap_census(
     if subset is not None:
         if lo is not None or hi is not None:
             raise ValueError("give either subset or an explicit range, not both")
-        p_k = nth_prime(k)
-        if not 0 <= subset <= p_k - 1:
-            raise ValueError(f"subset {subset} outside [0, {p_k - 1}] at level {k}")
-        width = primorial(k - 1)
-        lo = 5 + subset * width
-        hi = 4 + (subset + 1) * width
+        lo, hi = WheelWindow(k).subset(subset)
         scope = f"subset:{subset}"
     elif lo is not None or hi is not None:
         scope = f"range:{lo}:{hi}"
@@ -124,6 +121,18 @@ def gap_census(
         del offsets, gaps
     entries = {int(g): int(counts[g]) for g in np.flatnonzero(counts)}
     return GapCensus(level=k, scope=scope, entries=entries)
+
+
+def _require_consecutive(run: tuple[int, ...], k: int) -> None:
+    """Refuse a run that is not increasing, consecutive prospective
+    primes of level k."""
+    if any(a >= b for a, b in zip(run, run[1:])):
+        raise ValueError(f"{run} is not increasing")
+    for q in run:
+        if not is_prospective(q, k):
+            raise ValueError(f"{q} is not prospective at level {k}")
+    if any(is_prospective(n, k) for n in range(run[0] + 1, run[-1]) if n not in run):
+        raise ValueError(f"{run} is not consecutive at level {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +171,8 @@ def classify_propagation(
     right_neighbor: int | None = None,
 ) -> PropagationOutcome:
     """Classify propagating a consecutive triple at level k with residue m."""
+    _require_consecutive(triple, k)
     p, p2, p3 = triple
-    if not p < p2 < p3:
-        raise ValueError(f"triple {triple} is not increasing")
-    for q in (p, p2, p3):
-        if not is_prospective(q, k):
-            raise ValueError(f"{q} is not prospective at level {k}")
-    if any(is_prospective(n, k) for n in range(p + 1, p3) if n not in (p2,)):
-        raise ValueError(f"triple {triple} is not consecutive at level {k}")
     p_next = nth_prime(k + 1)
     if not 0 <= m <= p_next - 1:
         raise ValueError(f"m={m} outside [0, {p_next - 1}]")
@@ -272,13 +275,6 @@ def predicted_derived_count(l: int, k: int, g: int) -> int:
     return count
 
 
-def _assert_consecutive_pair(p: int, p2: int, level: int) -> None:
-    if not (is_prospective(p, level) and is_prospective(p2, level)):
-        raise ValueError(f"({p}, {p2}) not prospective at level {level}")
-    if any(is_prospective(n, level) for n in range(p + 1, p2)):
-        raise ValueError(f"({p}, {p2}) not consecutive at level {level}")
-
-
 def derive_pairs(
     root: tuple[int, int],
     l: int,
@@ -296,7 +292,7 @@ def derive_pairs(
             f"span {k - l} exceeds lineage cap {lineage_cap}; "
             "use predicted_derived_count for the size"
         )
-    _assert_consecutive_pair(root[0], root[1], l)
+    _require_consecutive(root, l)
     frontier: list[LineageLeaf] = [LineageLeaf(pair=root, steps=())]
     for j in range(l, k):
         step_size = primorial(j)
@@ -377,10 +373,9 @@ def per_subset_pair_census(
         if root is None:
             raise ValueError(f"no gap-{g} pair at level {l}")
     lineage = derive_pairs(root, l, k, lineage_cap=lineage_cap)
-    width = primorial(k - 1)
     counts = [0] * nth_prime(k)
     for leaf in lineage.leaves:
-        counts[(leaf.pair[0] - 5) // width] += 1
+        counts[subset_of(leaf.pair[0], k)] += 1
     bound = (nth_prime(k - 1) - 4) * predicted_derived_count(l, k - 2, g)
     return PerSubsetCensus(
         root=root, root_level=l, level=k, gap=g, counts=counts, bound=bound

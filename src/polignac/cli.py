@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen, census, lineage, verify, subset-gaps, table1, bounds,
-ratios, find-pair, export.  Exit codes: 0 success, 1 usage or range
+ratios, find-pair, export; ``export census`` and ``export bounds`` are
+``census`` and ``bounds`` with csv and json as their default formats.
+Exit codes: 0 success, 1 usage or range
 error, 2 an empirical verification that failed.  The environment
 variable POLIGNAC_CONFIG may point at a JSON run-config file; explicit
 flags win over it.  Exact quantities appear in JSON output as decimal
@@ -14,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import census as census_mod
 from . import checks as checks_mod
@@ -32,23 +34,25 @@ class RunConfig:
     enumerable_cap: int = wheel.ENUMERABLE_CAP
     lineage_cap: int = census_mod.LINEAGE_CAP
     sieve_budget: int = SIEVE_BUDGET
-    output_format: str = "text"
-    output_path: str | None = None
-    seed: int | None = None
 
     @classmethod
     def from_environment(cls) -> "RunConfig":
         config = cls()
         path = os.environ.get("POLIGNAC_CONFIG")
-        if path:
-            with open(path) as handle:
-                for key, value in json.load(handle).items():
-                    if hasattr(config, key):
-                        setattr(config, key, value)
-        if config.enumerable_cap < 1 or config.lineage_cap < 1:
-            raise ValueError("caps must be positive")
-        if config.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {config.output_format!r}")
+        if not path:
+            return config
+        with open(path) as handle:
+            settings = json.load(handle)
+        if not isinstance(settings, dict):
+            raise ValueError(f"{path}: expected a JSON object")
+        known = {f.name for f in fields(cls)}
+        for key, value in settings.items():
+            if key not in known:
+                raise ValueError(f"{path}: unknown setting {key!r}")
+            # bool is an int subclass; true must not pass as 1
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{path}: {key} must be a positive integer, got {value!r}")
+            setattr(config, key, value)
         return config
 
 
@@ -104,13 +108,6 @@ def parse_census_csv(text: str) -> census_mod.GapCensus:
     return census_mod.GapCensus(level=level, scope=scope, entries=entries)
 
 
-def _build_census(args, config: RunConfig) -> census_mod.GapCensus:
-    lo, hi = _parse_range(args.range)
-    return census_mod.gap_census(
-        args.level, subset=args.subset, lo=lo, hi=hi, cap=config.enumerable_cap
-    )
-
-
 def _cmd_gen(args, config: RunConfig) -> int:
     lo, hi = _parse_range(args.range)
     values = list(
@@ -129,7 +126,10 @@ def _cmd_gen(args, config: RunConfig) -> int:
 
 
 def _cmd_census(args, config: RunConfig) -> int:
-    result = _build_census(args, config)
+    lo, hi = _parse_range(args.range)
+    result = census_mod.gap_census(
+        args.level, subset=args.subset, lo=lo, hi=hi, cap=config.enumerable_cap
+    )
     if args.gap is not None:
         count = result.entries.get(args.gap, 0)
         if args.format == "json":
@@ -248,31 +248,30 @@ def _cmd_find_pair(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args, config: RunConfig) -> int:
-    if args.what == "census" and args.level is None:
-        raise ValueError("export census needs -k/--level")
-    if args.what == "bounds" and None in (args.root_level, args.from_level, args.gap):
-        raise ValueError("export bounds needs -r/--root-level, -l/--from-level and -g/--gap")
-    if args.what == "census":
-        result = _build_census(args, config)
-        fmt = args.format if args.format != "text" else "csv"
-        text = render_census(result, fmt)
-    else:  # bounds
-        report = primepairs.bound_report(
-            args.root_level, args.from_level, args.gap, budget=config.sieve_budget
-        )
-        text = _canonical_json(report.to_json_dict())
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
+def _add_output(
+    parser: argparse.ArgumentParser,
+    formats: tuple[str, ...] = ("json", "text"),
+    default: str = "text",
+) -> None:
+    parser.add_argument("--format", choices=formats, default=default)
     parser.add_argument("--out", default=None)
+
+
+def _add_census(parser: argparse.ArgumentParser, default_format: str) -> None:
+    parser.add_argument("-k", "--level", type=int, required=True)
+    parser.add_argument("-g", "--gap", type=int, default=None)
+    parser.add_argument("-m", "--subset", type=int, default=None)
+    parser.add_argument("--range", default=None, metavar="LO:HI")
+    _add_output(parser, ("json", "csv", "text"), default_format)
+    parser.set_defaults(func=_cmd_census)
+
+
+def _add_bounds(parser: argparse.ArgumentParser, default_format: str) -> None:
+    parser.add_argument("-r", "--root-level", type=int, required=True)
+    parser.add_argument("-l", "--from-level", "--l", type=int, required=True)
+    parser.add_argument("-g", "--gap", type=int, required=True)
+    _add_output(parser, default=default_format)
+    parser.set_defaults(func=_cmd_bounds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,22 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="enumerate prospective primes")
     p.add_argument("-k", "--level", type=int, required=True)
     p.add_argument("--range", default=None, metavar="LO:HI")
-    _add_common(p)
+    _add_output(p, ("json", "csv", "text"))
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("census", help="gap census of a window, subset, or range")
-    p.add_argument("-k", "--level", type=int, required=True)
-    p.add_argument("-g", "--gap", type=int, default=None)
-    p.add_argument("-m", "--subset", type=int, default=None)
-    p.add_argument("--range", default=None, metavar="LO:HI")
-    _add_common(p)
-    p.set_defaults(func=_cmd_census)
+    _add_census(p, "text")
 
     p = sub.add_parser("lineage", help="derive a pair lineage between levels")
     p.add_argument("-r", "--root-level", type=int, required=True)
     p.add_argument("-k", "--level", type=int, required=True)
     p.add_argument("-g", "--gap", type=int, required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_lineage)
 
     p = sub.add_parser("verify", help="run the bounded verification sweep")
@@ -312,42 +306,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subset-gaps", help="subset boundary-gap spectrum")
     p.add_argument("-k", "--level", type=int, required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_subset_gaps)
 
     p = sub.add_parser("table1", help="worked 113/121/127 propagation table")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("bounds", help="prime-pair lower bound vs observed count")
-    p.add_argument("-r", "--root-level", type=int, required=True)
-    p.add_argument("-l", "--from-level", "--l", type=int, required=True)
-    p.add_argument("-g", "--gap", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bounds)
+    _add_bounds(p, "text")
 
     p = sub.add_parser("ratios", help="level-to-level bound growth factor")
     p.add_argument("-l", "--from-level", "--l", type=int, required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_ratios)
 
     p = sub.add_parser("find-pair", help="least prime pair with a gap above M")
     p.add_argument("-g", "--gap", type=int, required=True)
     p.add_argument("-M", "--above", type=int, default=0)
     p.add_argument("--limit", type=int, default=10**6)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=_cmd_find_pair)
 
-    p = sub.add_parser("export", help="write a census or bound report to a file")
-    p.add_argument("what", choices=("census", "bounds"))
-    p.add_argument("-k", "--level", type=int, default=None)
-    p.add_argument("-m", "--subset", type=int, default=None)
-    p.add_argument("--range", default=None, metavar="LO:HI")
-    p.add_argument("-r", "--root-level", type=int, default=None)
-    p.add_argument("-l", "--from-level", "--l", type=int, default=None)
-    p.add_argument("-g", "--gap", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_export)
+    export = sub.add_parser(
+        "export", help="write a census or bound report to a file"
+    ).add_subparsers(dest="what", required=True)
+    _add_census(export.add_parser("census", help="census, csv by default"), "csv")
+    _add_bounds(export.add_parser("bounds", help="bound report, json by default"), "json")
 
     return parser
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import nth_prime, primorial
+from .wheel import is_prospective
 
 
 @dataclass(frozen=True)
@@ -68,4 +69,4 @@ def decode(cv: CoeffVector) -> int:
 def is_admissible(cv: CoeffVector) -> bool:
     """True iff the decoded value is a prospective prime at cv.level,
     i.e. the digits dodged every level's disallowed pair."""
-    return math.gcd(decode(cv), primorial(cv.level)) == 1
+    return is_prospective(decode(cv), cv.level)

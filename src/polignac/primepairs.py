@@ -65,7 +65,8 @@ def actual_pair_count(g: int, lo: int, hi: int, budget: int = SIEVE_BUDGET) -> i
 
 class LowerBound(NamedTuple):
     exact: Fraction
-    value: float
+    k: int  # pi(sqrt(P_l#))
+    n_root: int  # descendants at level l of the level-r root pair
 
 
 def theorem3_lower_bound(
@@ -91,7 +92,7 @@ def theorem3_lower_bound(
         bound *= Fraction(p - 4, p - 2)
         if g % p == 0:
             bound *= Fraction(p - 2, p - 1)
-    return LowerBound(exact=bound, value=float(bound))
+    return LowerBound(exact=bound, k=k, n_root=n_l)
 
 
 @dataclass
@@ -128,15 +129,15 @@ class BoundReport:
 
 
 def bound_report(r: int, l: int, g: int, budget: int = SIEVE_BUDGET) -> BoundReport:
-    k = k_for_level(l, budget=budget)
-    lo = nth_prime(k)
-    hi = nth_prime(k + 1) ** 2
+    if l < 3:
+        raise ValueError(f"level must be >= 3, got {l}")
     bound = theorem3_lower_bound(r, l, g, budget=budget)
+    lo = nth_prime(bound.k)
+    hi = nth_prime(bound.k + 1) ** 2
     observed = actual_pair_count(g, lo, hi, budget=budget)
-    n_root = 1 if l == r else predicted_derived_count(r, l, g)
     return BoundReport(
-        r=r, l=l, g=g, k=k, window=(lo, hi),
-        bound=bound.exact, observed=observed, n_root=n_root,
+        r=r, l=l, g=g, k=bound.k, window=(lo, hi),
+        bound=bound.exact, observed=observed, n_root=bound.n_root,
     )
 
 
@@ -184,9 +185,7 @@ class SquareReport:
     least_composite: int  # least composite prospective prime at this level
 
 
-def verify_prospective_below_square(
-    k: int, cap: int = ENUMERABLE_CAP
-) -> SquareReport:
+def verify_prospective_below_square(k: int) -> SquareReport:
     """Check that every prospective prime of level k strictly between
     P_k and P_{k+1}^2 is prime, and locate the least composite
     prospective prime (which should be exactly P_{k+1}^2).

@@ -53,6 +53,16 @@ class WheelWindow:
     def subset_count(self) -> int:
         return nth_prime(self.k)
 
+    def subset(self, m: int) -> tuple[int, int]:
+        """Bounds (lo, hi) of subset m, the window's m-th stretch of
+        width P_{k-1}#."""
+        if not 0 <= m < self.subset_count:
+            raise ValueError(
+                f"subset {m} outside [0, {self.subset_count - 1}] at level {self.k}"
+            )
+        lo = self.lo + m * self.subset_width
+        return lo, lo + self.subset_width - 1
+
 
 class DisallowedIndex(NamedTuple):
     """The residue m at which propagation into `level` hits a multiple
@@ -90,6 +100,8 @@ def prospective_segments(
         raise ValueError(f"level must be >= 2, got {k}")
     if k > cap:
         raise ValueError(f"level {k} exceeds enumerable cap {cap}")
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError(f"range {lo}:{hi} has lo > hi")
     window = WheelWindow(k)
     lo = window.lo if lo is None else max(lo, window.lo)
     hi = window.hi if hi is None else min(hi, window.hi)
@@ -146,14 +158,9 @@ def subset_of(n: int, k: int) -> int:
 
 def subset_extremes(k: int, m: int, cap: int = ENUMERABLE_CAP) -> tuple[int, int]:
     """(least, greatest) prospective prime in subset m of the level-k window."""
-    p_k = nth_prime(k)
-    if not 0 <= m <= p_k - 1:
-        raise ValueError(f"subset {m} outside [0, {p_k - 1}] at level {k}")
+    lo, hi = WheelWindow(k).subset(m)
     if k > cap:
         raise ValueError(f"level {k} exceeds enumerable cap {cap}")
-    width = primorial(k - 1)
-    lo = 5 + m * width
-    hi = 4 + (m + 1) * width
     least = next(n for n in range(lo, hi + 1) if is_prospective(n, k))
     greatest = next(n for n in range(hi, lo - 1, -1) if is_prospective(n, k))
     return least, greatest

@@ -104,6 +104,11 @@ def test_derive_pairs_rejects_non_consecutive_root():
         derive_pairs((113, 127), 4, 5)  # 121 lies between
 
 
+def test_derive_pairs_rejects_decreasing_root():
+    with pytest.raises(ValueError):
+        derive_pairs((7, 5), 2, 3)
+
+
 def test_lineage_counts_match_closed_form():
     cases = [(2, 4), (2, 5), (3, 5), (4, 6)]
     for l, k in cases:
@@ -196,8 +201,10 @@ def test_classify_propagation_with_neighbor():
 
 
 def test_classify_propagation_rejects_non_consecutive():
-    with pytest.raises(ValueError):
-        classify_propagation((113, 127, 131), 4, 0)
+    # 121 skipped; not increasing; 119 = 7 * 17 not prospective
+    for triple in ((113, 127, 131), (121, 113, 127), (113, 119, 127)):
+        with pytest.raises(ValueError):
+            classify_propagation(triple, 4, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,19 @@ def test_census_subset_out_of_range_exits_1(capsys):
     assert out == "" and "subset 40" in err
 
 
+@pytest.mark.parametrize("command", ["gen", "census"])
+def test_reversed_range_exits_1(capsys, command):
+    code, out, err = run(capsys, command, "-k", "4", "--range", "200:100")
+    assert code == 1
+    assert out == "" and "200" in err
+
+
+def test_format_csv_refused_where_not_rendered(capsys):
+    code, out, err = run(capsys, "lineage", "-r", "2", "-k", "4", "-g", "2", "--format", "csv")
+    assert code == 1
+    assert out == "" and "csv" in err
+
+
 def test_export_census_without_level_exits_1(capsys):
     code, _, err = run(capsys, "export", "census")
     assert code == 1
@@ -154,6 +167,25 @@ def test_export_deterministic(tmp_path, capsys):
             "--out", str(path),
         )
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "settings, named",
+    [
+        ({"enumerable_cap": "9"}, "enumerable_cap"),
+        ({"enumerabel_cap": 9}, "enumerabel_cap"),
+        ({"enumerable_cap": True}, "enumerable_cap"),
+        ({"lineage_cap": 0}, "lineage_cap"),
+        ([9], "JSON object"),
+    ],
+)
+def test_config_file_rejects_bad_settings(tmp_path, capsys, monkeypatch, settings, named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    monkeypatch.setenv("POLIGNAC_CONFIG", str(config))
+    code, out, err = run(capsys, "gen", "--level", "3")
+    assert code == 1
+    assert out == "" and err.startswith("error:") and named in err
 
 
 def test_config_file_respected(tmp_path, capsys, monkeypatch):

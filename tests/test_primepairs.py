@@ -46,7 +46,7 @@ def test_actual_pair_count_against_oracle(small_primes):
 
 
 def test_theorem3_lower_bound_examples():
-    assert theorem3_lower_bound(2, 5, 2).value == pytest.approx(43.6, abs=0.05)
+    assert float(theorem3_lower_bound(2, 5, 2).exact) == pytest.approx(43.6, abs=0.05)
     assert theorem3_lower_bound(2, 4, 2).exact == Fraction(15 * 3 * 7, 5 * 9)
     assert theorem3_lower_bound(2, 2, 2).exact == 1
 
@@ -66,6 +66,11 @@ def test_bound_reports_hold():
                 continue
             report = bound_report(r, l, g)
             assert report.observed >= math.ceil(report.bound), (l, g)
+
+
+def test_bound_report_rejects_level_below_3():
+    with pytest.raises(ValueError):
+        bound_report(2, 2, 2)
 
 
 def test_bound_report_fields():
