@@ -13,13 +13,16 @@ and yields each segment's survivors as int64 offsets from the segment's
 start, a Python int, so segments past 2^63 stay exact.
 ``prime_segments`` feeds it the base primes up to sqrt(hi), and the
 wheel feeds it the first k primes.  ``sieve_primes``, ``prime_count_pi``
-and the pair searches in ``primepairs`` all consume those segments.
+and the pair searches in ``primepairs`` all consume those segments, and
+``nth_prime`` and ``primorial`` read a list of primes that
+``sieve_primes`` fills.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -98,49 +101,40 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.concatenate(list(prime_segments(2, limit)))
 
 
-@dataclass
-class PrimeBasis:
-    """Growable ordered table of primes with their running primorials."""
-
-    primes: list[int] = field(default_factory=lambda: [2, 3, 5, 7, 11, 13])
-    primorials: list[int] = field(default_factory=lambda: [2, 6, 30, 210, 2310, 30030])
-
-    def extend_to(self, count: int) -> None:
-        candidate = self.primes[-1]
-        while len(self.primes) < count:
-            candidate += 2
-            if is_prime(candidate):
-                self.primes.append(candidate)
-                self.primorials.append(self.primorials[-1] * candidate)
-
-    def nth(self, i: int) -> int:
-        if i < 1:
-            raise ValueError(f"prime index must be >= 1, got {i}")
-        self.extend_to(i)
-        return self.primes[i - 1]
-
-    def primorial(self, k: int) -> int:
-        if k < 1:
-            raise ValueError(f"primorial index must be >= 1, got {k}")
-        if k > MAX_PRIMORIAL_INDEX:
-            raise ValueError(
-                f"primorial index {k} exceeds configured bound {MAX_PRIMORIAL_INDEX}"
-            )
-        self.extend_to(k)
-        return self.primorials[k - 1]
+# The first primes in order, and the primorials of the first ones; both
+# grow on demand, the primes by re-sieving to twice the previous limit.
+_PRIMES: list[int] = []
+_PRIMORIALS: list[int] = []
 
 
-_BASIS = PrimeBasis()
+def _sieve_first(count: int) -> None:
+    limit = 2 * _PRIMES[-1] if _PRIMES else 64
+    while len(_PRIMES) < count:
+        _PRIMES[:] = sieve_primes(limit).tolist()
+        limit *= 2
 
 
 def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed (nth_prime(1) == 2)."""
-    return _BASIS.nth(i)
+    if i < 1:
+        raise ValueError(f"prime index must be >= 1, got {i}")
+    if len(_PRIMES) < i:
+        _sieve_first(i)
+    return _PRIMES[i - 1]
 
 
 def primorial(k: int) -> int:
     """Product of the first k primes."""
-    return _BASIS.primorial(k)
+    if k < 1:
+        raise ValueError(f"primorial index must be >= 1, got {k}")
+    if k > MAX_PRIMORIAL_INDEX:
+        raise ValueError(
+            f"primorial index {k} exceeds configured bound {MAX_PRIMORIAL_INDEX}"
+        )
+    if len(_PRIMORIALS) < k:
+        _sieve_first(k)
+        _PRIMORIALS[:] = itertools.accumulate(_PRIMES[:k], operator.mul)
+    return _PRIMORIALS[k - 1]
 
 
 def is_prime(n: int) -> bool:

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import is_prime, mod_inverse, nth_prime, primorial
+from .arith import is_prime, nth_prime, primorial
 from .wheel import (
     ENUMERABLE_CAP,
     WheelWindow,
@@ -52,9 +52,6 @@ class GapCensus:
             "scope": self.scope,
             "entries": {str(g): str(c) for g, c in sorted(self.entries.items())},
         }
-
-    def to_csv_rows(self) -> list[tuple[int, str, int, int]]:
-        return [(self.level, self.scope, g, c) for g, c in sorted(self.entries.items())]
 
 
 def consecutive_pairs(
@@ -384,12 +381,11 @@ def per_subset_pair_census(
 
 def mhat_delta(k: int, g: int) -> int:
     """Constant separation (mhat' - mhat) mod P_k shared by every gap-g
-    pair propagating into level k."""
+    pair propagating into level k.  mhat is linear in p, so the
+    separation of (p, p + g) is the disallowed index of g itself."""
     if g < 2 or g % 2:
         raise ValueError(f"gap must be even and >= 2, got {g}")
-    p_k = nth_prime(k)
-    step = primorial(k - 1) % p_k
-    return (-g) * mod_inverse(step, p_k) % p_k
+    return mhat(g, k).value
 
 
 def distribution_ratio(k: int) -> Fraction:

@@ -3,11 +3,22 @@
 Subcommands: gen, census, lineage, verify, subset-gaps, table1, bounds,
 ratios, find-pair, export; ``export census`` and ``export bounds`` are
 ``census`` and ``bounds`` with csv and json as their default formats.
-Exit codes: 0 success, 1 usage or range
-error, 2 an empirical verification that failed.  The environment
-variable POLIGNAC_CONFIG may point at a JSON run-config file; explicit
-flags win over it.  Exact quantities appear in JSON output as decimal
-strings, never floats.
+
+Every subcommand returns an ``Output``: its JSON payload, its text
+rendering, its csv rendering where ``--format csv`` is offered (gen and
+census), and its exit code.  ``main`` renders the chosen format once and
+writes it to stdout or ``--out``.  So ``find-pair --format json`` with no
+hit prints ``{"gap": g, "pair": null}``, and ``census -g G --format csv``
+prints the census header and the one row ``K,<scope>,G,<count>``, count
+0 when the gap is absent.
+
+Exit codes: 0 success, 1 usage or range error, 2 an empirical
+verification that failed.  A refusal prints nothing on stdout; a value
+out of range, ``lineage`` with no root pair included, prints
+``error: <message>`` on stderr.
+The environment variable POLIGNAC_CONFIG may point at a JSON run-config
+file; explicit flags win over it.  Exact quantities appear in JSON
+output as decimal strings, never floats.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import census as census_mod
 from . import checks as checks_mod
@@ -56,16 +68,15 @@ class RunConfig:
         return config
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+class Output(NamedTuple):
+    """What a subcommand produced, before it is rendered: the JSON
+    payload, the text rendering, the csv rendering where csv is offered,
+    and the exit code."""
 
-
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    payload: object
+    text: str
+    csv: str | None = None
+    code: int = EXIT_OK
 
 
 def _parse_range(spec: str | None) -> tuple[int | None, int | None]:
@@ -73,26 +84,6 @@ def _parse_range(spec: str | None) -> tuple[int | None, int | None]:
         return None, None
     lo, _, hi = spec.partition(":")
     return int(lo), int(hi)
-
-
-def _census_text(c: census_mod.GapCensus) -> str:
-    lines = [f"level {c.level}  scope {c.scope}"]
-    lines += [f"  gap {g:>4}  count {n}" for g, n in sorted(c.entries.items())]
-    return "\n".join(lines) + "\n"
-
-
-def _census_csv(c: census_mod.GapCensus) -> str:
-    rows = ["level,scope,gap,count"]
-    rows += [f"{lvl},{scope},{g},{n}" for lvl, scope, g, n in c.to_csv_rows()]
-    return "\n".join(rows) + "\n"
-
-
-def render_census(c: census_mod.GapCensus, fmt: str) -> str:
-    if fmt == "json":
-        return _canonical_json(c.to_json_dict())
-    if fmt == "csv":
-        return _census_csv(c)
-    return _census_text(c)
 
 
 def parse_census_csv(text: str) -> census_mod.GapCensus:
@@ -108,144 +99,108 @@ def parse_census_csv(text: str) -> census_mod.GapCensus:
     return census_mod.GapCensus(level=level, scope=scope, entries=entries)
 
 
-def _cmd_gen(args, config: RunConfig) -> int:
+def _cmd_gen(args, config: RunConfig) -> Output:
     lo, hi = _parse_range(args.range)
-    values = list(
-        wheel.enumerate_prospective(args.level, lo, hi, cap=config.enumerable_cap)
-    )
-    if args.format == "json":
-        text = _canonical_json(
-            {"level": args.level, "values": [str(v) for v in values]}
-        )
-    elif args.format == "csv":
-        text = "value\n" + "\n".join(str(v) for v in values) + "\n"
-    else:
-        text = "\n".join(str(v) for v in values) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    values = [
+        str(v)
+        for v in wheel.enumerate_prospective(args.level, lo, hi, cap=config.enumerable_cap)
+    ]
+    text = "\n".join(values) + "\n"
+    return Output({"level": args.level, "values": values}, text, "value\n" + text)
 
 
-def _cmd_census(args, config: RunConfig) -> int:
+def _cmd_census(args, config: RunConfig) -> Output:
     lo, hi = _parse_range(args.range)
-    result = census_mod.gap_census(
+    c = census_mod.gap_census(
         args.level, subset=args.subset, lo=lo, hi=hi, cap=config.enumerable_cap
     )
-    if args.gap is not None:
-        count = result.entries.get(args.gap, 0)
-        if args.format == "json":
-            text = _canonical_json(
-                {"level": args.level, "gap": args.gap, "count": str(count)}
-            )
-        else:
-            text = f"level {args.level}  gap {args.gap}  count {count}\n"
-        _emit(text, args.out)
-        return EXIT_OK
-    _emit(render_census(result, args.format), args.out)
-    return EXIT_OK
+    if args.gap is None:
+        entries = sorted(c.entries.items())
+        payload = c.to_json_dict()
+        text = f"level {c.level}  scope {c.scope}\n" + "".join(
+            f"  gap {g:>4}  count {n}\n" for g, n in entries
+        )
+    else:
+        count = c.entries.get(args.gap, 0)
+        entries = [(args.gap, count)]
+        payload = {"level": args.level, "gap": args.gap, "count": str(count)}
+        text = f"level {args.level}  gap {args.gap}  count {count}\n"
+    csv = "level,scope,gap,count\n" + "".join(
+        f"{c.level},{c.scope},{g},{n}\n" for g, n in entries
+    )
+    return Output(payload, text, csv)
 
 
-def _cmd_lineage(args, config: RunConfig) -> int:
+def _cmd_lineage(args, config: RunConfig) -> Output:
     root = census_mod.find_root_pair(args.root_level, args.gap)
     if root is None:
-        print(
-            f"no gap-{args.gap} pair at level {args.root_level}", file=sys.stderr
-        )
-        return EXIT_USAGE
+        raise ValueError(f"no gap-{args.gap} pair at level {args.root_level}")
     lineage = census_mod.derive_pairs(
         root, args.root_level, args.level, lineage_cap=config.lineage_cap
     )
     predicted = census_mod.predicted_derived_count(
         args.root_level, args.level, args.gap
     )
-    if args.format == "json":
-        payload = lineage.to_json_dict()
-        payload["predicted"] = str(predicted)
-        text = _canonical_json(payload)
-    else:
-        text = (
-            f"root {root} level {args.root_level} -> {args.level}: "
-            f"{len(lineage.leaves)} derived pairs (predicted {predicted})\n"
-        )
-    _emit(text, args.out)
-    return EXIT_OK
+    return Output(
+        {**lineage.to_json_dict(), "predicted": str(predicted)},
+        f"root {root} level {args.root_level} -> {args.level}: "
+        f"{len(lineage.leaves)} derived pairs (predicted {predicted})\n",
+    )
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
-    failed = False
-    for result in checks_mod.run_all(max_level=args.max_level):
-        status = "pass" if result.ok else "FAIL"
-        line = f"{status}  {result.name}"
-        if result.detail:
-            line += f"  ({result.detail})"
-        print(line)
-        failed = failed or not result.ok
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+def _cmd_verify(args, config: RunConfig) -> Output:
+    results = list(checks_mod.run_all(max_level=args.max_level))
+    text = "".join(
+        f"{'pass' if r.ok else 'FAIL'}  {r.name}"
+        + (f"  ({r.detail})" if r.detail else "")
+        + "\n"
+        for r in results
+    )
+    code = EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
+    return Output(None, text, code=code)
 
 
-def _cmd_subset_gaps(args, config: RunConfig) -> int:
-    spectrum = census_mod.subset_gap_spectrum(args.level, cap=config.enumerable_cap)
-    if args.format == "json":
-        text = _canonical_json(
-            {"level": args.level, "gaps": [str(g) for g in spectrum]}
-        )
-    else:
-        text = " ".join(str(g) for g in spectrum) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+def _cmd_subset_gaps(args, config: RunConfig) -> Output:
+    gaps = [
+        str(g) for g in census_mod.subset_gap_spectrum(args.level, cap=config.enumerable_cap)
+    ]
+    return Output({"level": args.level, "gaps": gaps}, " ".join(gaps) + "\n")
 
 
-def _cmd_table1(args, config: RunConfig) -> int:
+def _cmd_table1(args, config: RunConfig) -> Output:
     table = census_mod.table1()
-    if args.format == "json":
-        text = _canonical_json(table.to_json_dict())
-    else:
-        text = table.render_text() + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    return Output(table.to_json_dict(), table.render_text() + "\n")
 
 
-def _cmd_bounds(args, config: RunConfig) -> int:
+def _cmd_bounds(args, config: RunConfig) -> Output:
     report = primepairs.bound_report(
         args.root_level, args.from_level, args.gap, budget=config.sieve_budget
     )
-    if args.format == "json":
-        text = _canonical_json(report.to_json_dict())
-    else:
-        text = (
-            f"r={report.r} l={report.l} g={report.g} k={report.k} "
-            f"window=({report.window[0]}, {report.window[1]})\n"
-            f"bound {float(report.bound):.3f}  observed {report.observed}  "
-            f"holds {report.holds}\n"
-        )
-    _emit(text, args.out)
-    return EXIT_VERIFY_FAILED if not report.holds else EXIT_OK
+    text = (
+        f"r={report.r} l={report.l} g={report.g} k={report.k} "
+        f"window=({report.window[0]}, {report.window[1]})\n"
+        f"bound {float(report.bound):.3f}  observed {report.observed}  "
+        f"holds {report.holds}\n"
+    )
+    code = EXIT_OK if report.holds else EXIT_VERIFY_FAILED
+    return Output(report.to_json_dict(), text, code=code)
 
 
-def _cmd_ratios(args, config: RunConfig) -> int:
+def _cmd_ratios(args, config: RunConfig) -> Output:
     value = primepairs.growth_ratio(args.from_level)
-    if args.format == "json":
-        text = _canonical_json({"l": args.from_level, "ratio": round(value, 3)})
-    else:
-        text = f"{value:.1f}\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    return Output({"l": args.from_level, "ratio": round(value, 3)}, f"{value:.1f}\n")
 
 
-def _cmd_find_pair(args, config: RunConfig) -> int:
+def _cmd_find_pair(args, config: RunConfig) -> Output:
     pair = primepairs.find_pair_above(
         args.gap, args.above, args.limit, budget=config.sieve_budget
     )
     if pair is None:
-        _emit("not-found\n", args.out)
-        return EXIT_OK
-    if args.format == "json":
-        text = _canonical_json(
-            {"gap": args.gap, "pair": [str(pair[0]), str(pair[1])]}
-        )
-    else:
-        text = f"({pair[0]}, {pair[1]})\n"
-    _emit(text, args.out)
-    return EXIT_OK
+        return Output({"gap": args.gap, "pair": None}, "not-found\n")
+    return Output(
+        {"gap": args.gap, "pair": [str(pair[0]), str(pair[1])]},
+        f"({pair[0]}, {pair[1]})\n",
+    )
 
 
 def _add_output(
@@ -302,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the bounded verification sweep")
     p.add_argument("--all", action="store_true")
     p.add_argument("--max-level", type=int, default=6)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, format="text", out=None)
 
     p = sub.add_parser("subset-gaps", help="subset boundary-gap spectrum")
     p.add_argument("-k", "--level", type=int, required=True)
@@ -349,7 +304,17 @@ def main(argv: list[str] | None = None) -> int:
             config.enumerable_cap = args.cap
         if args.budget is not None:
             config.sieve_budget = args.budget
-        return args.func(args, config)
+        result = args.func(args, config)
+        if args.format == "json":
+            rendered = json.dumps(result.payload, sort_keys=True, indent=2) + "\n"
+        else:
+            rendered = result.csv if args.format == "csv" else result.text
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(rendered)
+        else:
+            sys.stdout.write(rendered)
+        return result.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,8 +32,6 @@ from .wheel import ENUMERABLE_CAP, enumerate_prospective
 def k_for_level(l: int, budget: int = SIEVE_BUDGET) -> int:
     """Index k with P_k the largest prime whose square stays below P_l#:
     k = pi(floor(sqrt(P_l#)))."""
-    if l < 3:
-        raise ValueError(f"level must be >= 3, got {l}")
     return prime_count_pi(math.isqrt(primorial(l)), budget=budget)
 
 
@@ -83,9 +81,7 @@ def theorem3_lower_bound(
     if g < 2 or g % 2:
         raise ValueError(f"gap must be even and >= 2, got {g}")
     n_l = 1 if l == r else predicted_derived_count(r, l, g)
-    # k_for_level gates on l >= 3; the l = r = 2 boundary is still a
-    # well-defined (empty-product) bound, so compute pi directly.
-    k = prime_count_pi(math.isqrt(primorial(l)), budget=budget)
+    k = k_for_level(l, budget=budget)
     bound = Fraction(n_l)
     for j in range(l, k):
         p = nth_prime(j)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from polignac import checks
 from polignac.census import gap_census
-from polignac.cli import main, parse_census_csv, render_census
+from polignac.cli import main, parse_census_csv
 
 
 def run(capsys, *argv):
@@ -198,6 +199,116 @@ def test_config_file_respected(tmp_path, capsys, monkeypatch):
     assert code == 0  # flag overrides the config file
 
 
-def test_render_census_text():
-    text = render_census(gap_census(3), "text")
+def test_render_census_text(capsys):
+    code, text, _ = run(capsys, "census", "--level", "3", "--format", "text")
+    assert code == 0
     assert "level 3" in text and "gap" in text
+
+
+def test_find_pair_json_without_hit_is_json(capsys):
+    argv = ["find-pair", "-g", "2", "-M", "100", "--limit", "101"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"gap": 2, "pair": None}
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "not-found\n"
+
+
+@pytest.mark.parametrize(
+    "flags, row",
+    [
+        (["-g", "2"], "4,full,2,15"),
+        (["-g", "30"], "4,full,30,0"),  # absent gap: count 0
+        (["-m", "1", "-g", "2"], "4,subset:1,2,2"),  # (41, 43), (59, 61)
+    ],
+)
+def test_census_gap_csv_is_one_census_row(capsys, flags, row):
+    code, out, _ = run(capsys, "census", "-k", "4", *flags, "--format", "csv")
+    assert code == 0
+    assert out == f"level,scope,gap,count\n{row}\n"
+    parsed = parse_census_csv(out)
+    level, scope, gap, count = row.split(",")
+    assert (parsed.level, parsed.scope) == (int(level), scope)
+    assert parsed.entries == {int(gap): int(count)}
+
+
+def test_lineage_without_root_is_an_error(capsys):
+    code, out, err = run(capsys, "lineage", "-r", "2", "-k", "4", "-g", "8")
+    assert code == 1
+    assert out == "" and err == "error: no gap-8 pair at level 2\n"
+
+
+# Every subcommand with the formats it offers (None: it has no --format).
+CONTRACT = [
+    (["gen", "-k", "3"], ("json", "csv", "text")),
+    (["census", "-k", "4"], ("json", "csv", "text")),
+    (["census", "-k", "4", "-g", "2"], ("json", "csv", "text")),
+    (["lineage", "-r", "2", "-k", "4", "-g", "2"], ("json", "text")),
+    (["verify", "--max-level", "3"], (None,)),
+    (["subset-gaps", "-k", "4"], ("json", "text")),
+    (["table1"], ("json", "text")),
+    (["bounds", "-r", "2", "-l", "4", "-g", "2"], ("json", "text")),
+    (["ratios", "--l", "9"], ("json", "text")),
+    (["find-pair", "-g", "2", "-M", "100"], ("json", "text")),
+    (["find-pair", "-g", "2", "-M", "100", "--limit", "101"], ("json", "text")),
+    (["export", "census", "-k", "3"], ("json", "csv", "text")),
+    (["export", "bounds", "-r", "2", "-l", "4", "-g", "2"], ("json", "text")),
+]
+CSV_HEADERS = {"gen": "value\n", "census": "level,scope,gap,count\n", "export": "level,scope,gap,count\n"}
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [(argv, fmt) for argv, formats in CONTRACT for fmt in formats],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_output_contract(tmp_path, capsys, argv, fmt):
+    argv = argv + (["--format", fmt] if fmt else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        json.loads(out)  # one document, nothing after it
+    elif fmt == "csv":
+        assert out.startswith(CSV_HEADERS[argv[0]])
+    else:
+        assert out.endswith("\n") and not out.startswith(("{", "["))
+    if fmt:  # --out writes the same bytes and leaves stdout empty
+        path = tmp_path / "out"
+        code, written, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and written == "" and path.read_text() == out
+
+
+# One refusal per subcommand: exit 1, nothing on stdout, a message on stderr.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "-k", "12"],
+        ["census", "-k", "4", "-m", "40"],
+        ["lineage", "-r", "2", "-k", "4", "-g", "8"],
+        ["verify", "--max-level", "1"],
+        ["subset-gaps", "-k", "2"],
+        ["table1", "--format", "csv"],
+        ["bounds", "-r", "2", "-l", "2", "-g", "2"],
+        ["ratios", "--l", "7"],
+        ["find-pair", "-g", "3"],
+        ["export", "census"],
+        ["export", "bounds", "-r", "2", "-l", "2", "-g", "2"],
+    ],
+    ids=" ".join,
+)
+def test_refusal_contract(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and "error:" in err and "Traceback" not in err
+
+
+def test_verify_reports_failed_check(capsys, monkeypatch):
+    def check_broken(max_level):
+        return checks.CheckResult("broken", False, f"max_level={max_level}")
+
+    monkeypatch.setattr(
+        checks, "ALL_CHECKS", (checks.check_codec_roundtrip, check_broken)
+    )
+    code, out, err = run(capsys, "verify", "--max-level", "3")
+    assert code == 2 and err == ""
+    assert out == "pass  codec-roundtrip\nFAIL  broken  (max_level=3)\n"
