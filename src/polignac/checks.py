@@ -187,5 +187,9 @@ ALL_CHECKS: tuple[Callable[[int], CheckResult], ...] = (
 
 
 def run_all(max_level: int = 6) -> Iterator[CheckResult]:
+    """Run every check up to max_level; below level 2 there is nothing
+    to check, so that is refused before any check runs."""
+    if max_level < 2:
+        raise ValueError(f"max level must be >= 2, got {max_level}")
     for check in ALL_CHECKS:
         yield check(max_level)

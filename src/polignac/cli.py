@@ -16,9 +16,12 @@ Exit codes: 0 success, 1 usage or range error, 2 an empirical
 verification that failed.  A refusal prints nothing on stdout; a value
 out of range, ``lineage`` with no root pair included, prints
 ``error: <message>`` on stderr.
-The environment variable POLIGNAC_CONFIG may point at a JSON run-config
-file; explicit flags win over it.  Exact quantities appear in JSON
-output as decimal strings, never floats.
+The one global flag, ``--budget N``, sets the sieve budget: the most
+integers one sieve pass of gen, census, bounds or find-pair may cover.
+The environment variable POLIGNAC_CONFIG may point at a JSON
+run-config file with the keys ``lineage_cap`` and ``sieve_budget``;
+the flag wins over it.  Exact quantities appear in JSON output as
+decimal strings, never floats.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ EXIT_VERIFY_FAILED = 2
 
 @dataclass
 class RunConfig:
-    enumerable_cap: int = wheel.ENUMERABLE_CAP
     lineage_cap: int = census_mod.LINEAGE_CAP
     sieve_budget: int = SIEVE_BUDGET
 
@@ -102,8 +104,7 @@ def parse_census_csv(text: str) -> census_mod.GapCensus:
 def _cmd_gen(args, config: RunConfig) -> Output:
     lo, hi = _parse_range(args.range)
     values = [
-        str(v)
-        for v in wheel.enumerate_prospective(args.level, lo, hi, cap=config.enumerable_cap)
+        str(v) for v in wheel.enumerate_prospective(args.level, lo, hi, config.sieve_budget)
     ]
     text = "\n".join(values) + "\n"
     return Output({"level": args.level, "values": values}, text, "value\n" + text)
@@ -112,7 +113,7 @@ def _cmd_gen(args, config: RunConfig) -> Output:
 def _cmd_census(args, config: RunConfig) -> Output:
     lo, hi = _parse_range(args.range)
     c = census_mod.gap_census(
-        args.level, subset=args.subset, lo=lo, hi=hi, cap=config.enumerable_cap
+        args.level, subset=args.subset, lo=lo, hi=hi, budget=config.sieve_budget
     )
     if args.gap is None:
         entries = sorted(c.entries.items())
@@ -161,9 +162,7 @@ def _cmd_verify(args, config: RunConfig) -> Output:
 
 
 def _cmd_subset_gaps(args, config: RunConfig) -> Output:
-    gaps = [
-        str(g) for g in census_mod.subset_gap_spectrum(args.level, cap=config.enumerable_cap)
-    ]
+    gaps = [str(g) for g in census_mod.subset_gap_spectrum(args.level)]
     return Output({"level": args.level, "gaps": gaps}, " ".join(gaps) + "\n")
 
 
@@ -234,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polignac",
         description="Primorial-wheel prospective primes and prime-pair bounds",
     )
-    parser.add_argument("--cap", type=int, default=None, help="enumerable level cap")
-    parser.add_argument("--budget", type=int, default=None, help="sieve budget")
+    parser.add_argument(
+        "--budget", type=int, default=None, help="most integers one sieve pass may cover"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="enumerate prospective primes")
@@ -300,8 +300,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         config = RunConfig.from_environment()
-        if args.cap is not None:
-            config.enumerable_cap = args.cap
         if args.budget is not None:
             config.sieve_budget = args.budget
         result = args.func(args, config)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import SIEVE_BUDGET, is_prime, nth_prime, prime_count_pi, prime_segments, primorial
 from .census import predicted_derived_count
-from .wheel import ENUMERABLE_CAP, enumerate_prospective
+from .wheel import enumerate_prospective
 
 
 def k_for_level(l: int, budget: int = SIEVE_BUDGET) -> int:
@@ -36,13 +36,13 @@ def k_for_level(l: int, budget: int = SIEVE_BUDGET) -> int:
 
 
 def _consecutive_prime_pairs(
-    lo: int, hi: int
+    lo: int, hi: int, budget: int = SIEVE_BUDGET
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Consecutive primes q < q' in [lo, hi], segment by segment: yields
     (lower members, gaps) per prime segment, the first gap of a segment
     being the one from the previous segment's last prime."""
     last = None
-    for primes in prime_segments(lo, hi):
+    for primes in prime_segments(lo, hi, budget):
         if not len(primes):
             continue
         if last is not None:
@@ -53,11 +53,9 @@ def _consecutive_prime_pairs(
 
 def actual_pair_count(g: int, lo: int, hi: int, budget: int = SIEVE_BUDGET) -> int:
     """Consecutive-prime pairs (q, q') with q' - q = g and lo < q, q' < hi."""
-    if hi - 1 > budget:
-        raise ValueError(f"sieve bound {hi - 1} exceeds budget {budget}")
     return sum(
         int(np.count_nonzero(gaps == g))
-        for _, gaps in _consecutive_prime_pairs(lo + 1, hi - 1)
+        for _, gaps in _consecutive_prime_pairs(lo + 1, hi - 1, budget)
     )
 
 
@@ -159,14 +157,13 @@ def find_pair_above(
     g: int, m: int, search_limit: int, budget: int = SIEVE_BUDGET
 ) -> tuple[int, int] | None:
     """Least consecutive-prime pair with difference g whose lower member
-    exceeds m, or None if none turns up below search_limit."""
+    exceeds m, or None if none turns up below search_limit, which must
+    exceed m."""
     if g < 2 or g % 2:
         raise ValueError(f"gap must be even and >= 2, got {g}")
     if search_limit <= m:
-        return None
-    if search_limit > budget:
-        raise ValueError(f"sieve bound {search_limit} exceeds budget {budget}")
-    for lower, gaps in _consecutive_prime_pairs(m + 1, search_limit):
+        raise ValueError(f"search limit {search_limit} must exceed {m}")
+    for lower, gaps in _consecutive_prime_pairs(m + 1, search_limit, budget):
         hits = np.flatnonzero(gaps == g)
         if len(hits):
             q = int(lower[hits[0]])
@@ -198,11 +195,11 @@ def verify_prospective_below_square(k: int) -> SquareReport:
     return SquareReport(level=k, holds=n >= square, least_composite=n)
 
 
-def consecutive_primes_as_prospective(k: int, cap: int = ENUMERABLE_CAP) -> bool:
+def consecutive_primes_as_prospective(k: int) -> bool:
     """True iff P_k and P_{k+1} sit adjacent in the level-(k-1)
     prospective stream."""
     if nth_prime(k) <= 3:
         raise ValueError(f"need P_k > 3, got level {k}")
     p_k, p_next = nth_prime(k), nth_prime(k + 1)
-    stream = list(enumerate_prospective(k - 1, p_k, p_next, cap=cap))
+    stream = list(enumerate_prospective(k - 1, p_k, p_next))
     return stream == [p_k, p_next]

@@ -13,6 +13,11 @@ P_1..P_k struck out, and ``prospective_segments`` yields the survivors
 as one (start, offsets) pair per segment.  Array consumers (the gap
 census) read the offsets directly; ``enumerate_prospective`` adds the
 start back value by value, as Python ints, so windows past 2^63 work.
+
+No level is refused for being high: what a window, subset or range
+costs is the integers it spans, and the sieve budget of
+``arith.strike_segments`` bounds that.  A narrow range at level 16 is
+cheap; the full level-10 window is refused at the default budget.
 """
 
 from __future__ import annotations
@@ -23,12 +28,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import mod_inverse, nth_prime, primorial, strike_segments
-
-# Full-window enumeration beyond this level is refused by default.  On a
-# 2-core Xeon a full census takes 0.6 s at level 9 (P_9# ~ 2.2e8) and
-# 18 s at level 10 (P_10# ~ 6.5e9).
-ENUMERABLE_CAP = 9
+from .arith import SIEVE_BUDGET, mod_inverse, nth_prime, primorial, strike_segments
 
 
 @dataclass(frozen=True)
@@ -91,33 +91,31 @@ def prospective_segments(
     k: int,
     lo: int | None = None,
     hi: int | None = None,
-    cap: int = ENUMERABLE_CAP,
+    budget: int = SIEVE_BUDGET,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Prospective primes of level k in [lo, hi], increasing, as one
     (start, offsets) pair per segment of the range, as
     ``arith.strike_segments`` yields them (offsets may be empty)."""
     if k < 2:
         raise ValueError(f"level must be >= 2, got {k}")
-    if k > cap:
-        raise ValueError(f"level {k} exceeds enumerable cap {cap}")
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"range {lo}:{hi} has lo > hi")
     window = WheelWindow(k)
     lo = window.lo if lo is None else max(lo, window.lo)
     hi = window.hi if hi is None else min(hi, window.hi)
     wheel = [nth_prime(i) for i in range(1, k + 1)]
-    return strike_segments(lo, hi, wheel)
+    return strike_segments(lo, hi, wheel, budget)
 
 
 def enumerate_prospective(
     k: int,
     lo: int | None = None,
     hi: int | None = None,
-    cap: int = ENUMERABLE_CAP,
+    budget: int = SIEVE_BUDGET,
 ) -> Iterator[int]:
     """All prospective primes of level k in [lo, hi], increasing, as
     Python ints."""
-    for start, offsets in prospective_segments(k, lo, hi, cap=cap):
+    for start, offsets in prospective_segments(k, lo, hi, budget):
         yield from (start + offset for offset in offsets.tolist())
 
 
@@ -156,11 +154,12 @@ def subset_of(n: int, k: int) -> int:
     return (n - 5) // window.subset_width
 
 
-def subset_extremes(k: int, m: int, cap: int = ENUMERABLE_CAP) -> tuple[int, int]:
-    """(least, greatest) prospective prime in subset m of the level-k window."""
+def subset_extremes(k: int, m: int) -> tuple[int, int]:
+    """(least, greatest) prospective prime in subset m of the level-k
+    window.  Each end is scanned value by value: the scan stops at the
+    first prospective prime, a few values in, where a sieve would cover
+    the subset's P_{k-1}# integers."""
     lo, hi = WheelWindow(k).subset(m)
-    if k > cap:
-        raise ValueError(f"level {k} exceeds enumerable cap {cap}")
     least = next(n for n in range(lo, hi + 1) if is_prospective(n, k))
     greatest = next(n for n in range(hi, lo - 1, -1) if is_prospective(n, k))
     return least, greatest

@@ -218,7 +218,9 @@ def test_subset_gap_spectrum_examples():
     assert sorted(subset_gap_spectrum(5)) == [10] * 9 + [12]
 
 
-@pytest.mark.parametrize("k", [3, 4, 5, 6])
+# Level 10 and up: each subset end is scanned value by value, so no
+# level limit applies.
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 10, 12])
 def test_subset_gap_spectrum_shape(k):
     p_k = nth_prime(k)
     assert sorted(subset_gap_spectrum(k)) == [p_k - 1] * (p_k - 2) + [p_k + 1]

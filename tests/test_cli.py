@@ -173,9 +173,9 @@ def test_export_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize(
     "settings, named",
     [
-        ({"enumerable_cap": "9"}, "enumerable_cap"),
-        ({"enumerabel_cap": 9}, "enumerabel_cap"),
-        ({"enumerable_cap": True}, "enumerable_cap"),
+        ({"sieve_budget": "9"}, "sieve_budget"),
+        ({"sieve_budgte": 9}, "sieve_budgte"),
+        ({"sieve_budget": True}, "sieve_budget"),
         ({"lineage_cap": 0}, "lineage_cap"),
         ([9], "JSON object"),
     ],
@@ -191,11 +191,11 @@ def test_config_file_rejects_bad_settings(tmp_path, capsys, monkeypatch, setting
 
 def test_config_file_respected(tmp_path, capsys, monkeypatch):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"enumerable_cap": 3}))
+    config.write_text(json.dumps({"sieve_budget": 30}))
     monkeypatch.setenv("POLIGNAC_CONFIG", str(config))
     code, _, err = run(capsys, "gen", "--level", "4")
-    assert code == 1  # cap from config forbids level 4
-    code, out, _ = run(capsys, "--cap", "9", "gen", "--level", "4")
+    assert code == 1  # budget from config forbids level 4 (210 integers)
+    code, out, _ = run(capsys, "--budget", "210", "gen", "--level", "4")
     assert code == 0  # flag overrides the config file
 
 
@@ -291,6 +291,7 @@ def test_output_contract(tmp_path, capsys, argv, fmt):
         ["bounds", "-r", "2", "-l", "2", "-g", "2"],
         ["ratios", "--l", "7"],
         ["find-pair", "-g", "3"],
+        ["find-pair", "-g", "2", "-M", "5000000"],  # default --limit is below M
         ["export", "census"],
         ["export", "bounds", "-r", "2", "-l", "2", "-g", "2"],
     ],
@@ -312,3 +313,20 @@ def test_verify_reports_failed_check(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--max-level", "3")
     assert code == 2 and err == ""
     assert out == "pass  codec-roundtrip\nFAIL  broken  (max_level=3)\n"
+
+
+def test_verify_refuses_max_level_below_2_before_any_check(capsys, monkeypatch):
+    ran = []
+
+    def check_recording(max_level):
+        ran.append(max_level)
+        return checks.CheckResult("recording", True)
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (check_recording,))
+    for level in ("1", "0", "-3"):
+        code, out, err = run(capsys, "verify", "--max-level", level)
+        assert code == 1 and out == ""
+        assert err == f"error: max level must be >= 2, got {level}\n"
+    assert ran == []
+    code, out, _ = run(capsys, "verify", "--max-level", "2")
+    assert code == 0 and out == "pass  recording\n" and ran == [2]

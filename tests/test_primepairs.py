@@ -117,7 +117,8 @@ def test_below_square(k):
     assert report.least_composite == nth_prime(k + 1) ** 2
 
 
-@pytest.mark.parametrize("k", [3, 4, 5, 6])
+# Level 11 reads a range of a few dozen values from the level-10 window.
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 11, 16])
 def test_consecutive_primes_as_prospective(k):
     assert consecutive_primes_as_prospective(k)
 

@@ -6,6 +6,7 @@ from the brute-force oracles in conftest, never from the code under
 test."""
 
 import bisect
+import time
 from collections import Counter
 
 import pytest
@@ -82,8 +83,10 @@ def test_find_pair_above_below_root(small_segments):
 
 
 def test_find_pair_above_limit_not_above_m(small_segments):
-    assert find_pair_above(2, 100, 100) is None
-    assert find_pair_above(2, 100, 50) is None
+    with pytest.raises(ValueError):
+        find_pair_above(2, 100, 100)
+    with pytest.raises(ValueError):
+        find_pair_above(2, 100, 50)
     assert find_pair_above(2, 100, 102) is None  # 103 is past the limit
 
 
@@ -112,23 +115,23 @@ BIG_RANGES = [
 
 @pytest.mark.parametrize("lo, hi", BIG_RANGES)
 def test_prospective_past_int64(lo, hi):
-    assert list(wheel.enumerate_prospective(16, lo, hi, cap=16)) == (
+    assert list(wheel.enumerate_prospective(16, lo, hi)) == (
         oracle_prospective(16, lo, hi)
     )
-    assert gap_census(16, lo=lo, hi=hi, cap=16).entries == oracle_census(16, lo, hi)
+    assert gap_census(16, lo=lo, hi=hi).entries == oracle_census(16, lo, hi)
 
 
 @pytest.mark.parametrize("lo, hi", BIG_RANGES)
 def test_prospective_past_int64_across_segments(small_segments, lo, hi):
-    assert list(wheel.enumerate_prospective(16, lo, hi, cap=16)) == (
+    assert list(wheel.enumerate_prospective(16, lo, hi)) == (
         oracle_prospective(16, lo, hi)
     )
-    assert gap_census(16, lo=lo, hi=hi, cap=16).entries == oracle_census(16, lo, hi)
+    assert gap_census(16, lo=lo, hi=hi).entries == oracle_census(16, lo, hi)
 
 
 def test_gen_past_int64(capsys):
     lo, hi = BIG_RANGES[0]
-    assert main(["--cap", "16", "gen", "-k", "16", "--range", f"{lo}:{hi}"]) == 0
+    assert main(["gen", "-k", "16", "--range", f"{lo}:{hi}"]) == 0
     assert capsys.readouterr().out.split() == [
         str(n) for n in oracle_prospective(16, lo, hi)
     ]
@@ -137,3 +140,55 @@ def test_gen_past_int64(capsys):
 def test_prime_segments_refuse_past_int64():
     with pytest.raises(ValueError, match="int64"):
         next(arith.prime_segments(INT64_EDGE, INT64_EDGE + 10))
+
+
+# The sieve budget is the only work limit: a level is never refused for
+# being high, only a range for spanning more integers than the budget.
+NARROW_RANGES = [
+    (10, 10**9, 10**9 + 2000),
+    (12, 10**12, 10**12 + 2000),
+    (16, 10**18, 10**18 + 2000),
+]
+
+
+@pytest.mark.parametrize("k, lo, hi", NARROW_RANGES)
+@pytest.mark.parametrize("segment", [SEG, None])
+def test_narrow_range_at_high_level(monkeypatch, segment, k, lo, hi):
+    if segment:
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    assert list(wheel.enumerate_prospective(k, lo, hi)) == oracle_prospective(k, lo, hi)
+    assert gap_census(k, lo=lo, hi=hi).entries == oracle_census(k, lo, hi)
+
+
+@pytest.mark.parametrize("budget", [SEG - 1, SEG, 3 * SEG + 5])
+def test_gap_census_budget_is_exact(small_segments, budget):
+    lo = 101
+    assert gap_census(5, lo=lo, hi=lo + budget - 1, budget=budget).entries == (
+        oracle_census(5, lo, lo + budget - 1)
+    )
+    with pytest.raises(ValueError, match="sieve budget"):
+        gap_census(5, lo=lo, hi=lo + budget, budget=budget)
+
+
+def test_prime_count_pi_budget_is_exact(small_segments):
+    # pi(x) sieves its base primes up to isqrt(x), then the x - isqrt(x)
+    # integers above them: that range pass is what the budget meets.
+    primes = oracle_primes(10**4 + 1)
+    assert prime_count_pi(10**4, budget=10**4 - 100) == bisect.bisect_right(primes, 10**4)
+    with pytest.raises(ValueError, match="sieve budget"):
+        prime_count_pi(10**4 + 1, budget=10**4 - 100)
+
+
+def test_find_pair_above_refused_through_base_pass():
+    # The range holds 100 integers, but its base primes run to 2^31.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="sieve budget"):
+        find_pair_above(2, 2**62, 2**62 + 100)
+    assert time.perf_counter() - start < 1.0
+    # The base primes up to 10^4 sieve 9900 integers above 100.
+    m = 10**8
+    primes = [n for n in range(m + 1, m + 101) if all(n % d for d in range(2, 10**4 + 1))]
+    twin = next((q, r) for q, r in zip(primes, primes[1:]) if r - q == 2)
+    assert find_pair_above(2, m, m + 100, budget=9900) == twin
+    with pytest.raises(ValueError, match="sieve budget"):
+        find_pair_above(2, m, m + 100, budget=9899)
