@@ -4,7 +4,8 @@ Covers: consecutive-pair streams and their gap histograms (taken with
 numpy from the per-segment offsets of ``wheel.prospective_segments``),
 the four-case classification of what one propagation step does to a pair
 of adjacent gaps, exhaustive lineage trees for a single root pair with
-the closed-form count they must match, subset boundary-gap spectra,
+the closed-form count they must match, the search for a lineage's root
+pair over prefixes of the window, subset boundary-gap spectra,
 per-subset minimum counts, and the constant separation of the two
 disallowed indices attached to a gap-g pair.
 """
@@ -312,12 +313,47 @@ def derive_pairs(
     return PairLineage(root=root, root_level=l, target_level=k, leaves=frontier)
 
 
-def find_root_pair(l: int, g: int) -> tuple[int, int] | None:
-    """Least consecutive prospective pair with gap g at level l, if any."""
-    for p, p2, gap in consecutive_pairs(l):
-        if gap == g:
-            return p, p2
+def _first_gap(k: int, g: int, hi: int, budget: int) -> tuple[int, int] | None:
+    """Least consecutive prospective pair with gap g at level k in
+    [5, hi], or None; the last value of each segment is carried into the
+    next, so a pair across a segment edge is seen."""
+    last = None
+    for start, offsets in prospective_segments(k, None, hi, budget):
+        if not len(offsets):
+            continue
+        first = start + int(offsets[0])
+        if last is not None and first - last == g:
+            return last, first
+        hits = np.flatnonzero(np.diff(offsets) == g)
+        if len(hits):
+            q = start + int(offsets[hits[0]])
+            return q, q + g
+        last = start + int(offsets[-1])
     return None
+
+
+def find_root_pair(l: int, g: int, budget: int = SIEVE_BUDGET) -> tuple[int, int] | None:
+    """Least consecutive prospective pair with gap g at level l, or None
+    when the window holds none.
+
+    Prefixes of the window that double in size are searched in turn,
+    each held to budget, so a pair near the start of a window too wide
+    to sieve whole is still found.  When the widest prefix the budget
+    admits holds no pair and the window runs on, the search is refused.
+    """
+    end = WheelWindow(l).hi
+    width = 1 << 12
+    while True:
+        hi = min(4 + min(width, budget), end)
+        pair = _first_gap(l, g, hi, budget)
+        if pair is not None or hi == end:
+            return pair
+        if width >= budget:
+            raise ValueError(
+                f"no gap-{g} pair among the first {budget} integers of the level-{l} "
+                f"window; searching on exceeds the sieve budget"
+            )
+        width *= 2
 
 
 # ---------------------------------------------------------------------------

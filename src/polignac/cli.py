@@ -17,7 +17,8 @@ verification that failed.  A refusal prints nothing on stdout; a value
 out of range, ``lineage`` with no root pair included, prints
 ``error: <message>`` on stderr.
 The one global flag, ``--budget N``, sets the sieve budget: the most
-integers one sieve pass of gen, census, bounds or find-pair may cover.
+integers one sieve pass of gen, census, lineage, bounds or find-pair may
+cover.
 The environment variable POLIGNAC_CONFIG may point at a JSON
 run-config file with the keys ``lineage_cap`` and ``sieve_budget``;
 the flag wins over it.  Exact quantities appear in JSON output as
@@ -133,7 +134,7 @@ def _cmd_census(args, config: RunConfig) -> Output:
 
 
 def _cmd_lineage(args, config: RunConfig) -> Output:
-    root = census_mod.find_root_pair(args.root_level, args.gap)
+    root = census_mod.find_root_pair(args.root_level, args.gap, config.sieve_budget)
     if root is None:
         raise ValueError(f"no gap-{args.gap} pair at level {args.root_level}")
     lineage = census_mod.derive_pairs(

@@ -8,16 +8,20 @@ level, evaluates the lower bound on gap-g prime pairs inside
 bound from one level to the next, and searches for prime pairs above a
 threshold.
 
-Both sieve-bound computations stream the prime segments of
+Both sieve-bound computations stream the odd-only prime segments of
 ``arith.prime_segments`` over just the range they need: pair counts add
 up ``np.diff(segment) == g`` per segment, and the pair search stops at
 the first segment holding a hit.  The last prime of each segment is
 carried into the next, so pairs straddling a segment edge are seen.
+k = pi(sqrt(P_l#)) comes from ``arith.prime_count_pi``, which sieves
+nothing, so only the pair count of ``bound_report`` is held to a sieve
+budget.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -29,10 +33,10 @@ from .census import predicted_derived_count
 from .wheel import enumerate_prospective
 
 
-def k_for_level(l: int, budget: int = SIEVE_BUDGET) -> int:
+def k_for_level(l: int) -> int:
     """Index k with P_k the largest prime whose square stays below P_l#:
     k = pi(floor(sqrt(P_l#)))."""
-    return prime_count_pi(math.isqrt(primorial(l)), budget=budget)
+    return prime_count_pi(math.isqrt(primorial(l)))
 
 
 def _consecutive_prime_pairs(
@@ -65,9 +69,7 @@ class LowerBound(NamedTuple):
     n_root: int  # descendants at level l of the level-r root pair
 
 
-def theorem3_lower_bound(
-    r: int, l: int, g: int, budget: int = SIEVE_BUDGET
-) -> LowerBound:
+def theorem3_lower_bound(r: int, l: int, g: int) -> LowerBound:
     """Guaranteed number of gap-g prime pairs in (P_k, P_{k+1}^2),
     k = pi(sqrt(P_l#)), descended from one gap-g pair at level r.
 
@@ -79,7 +81,7 @@ def theorem3_lower_bound(
     if g < 2 or g % 2:
         raise ValueError(f"gap must be even and >= 2, got {g}")
     n_l = 1 if l == r else predicted_derived_count(r, l, g)
-    k = k_for_level(l, budget=budget)
+    k = k_for_level(l)
     bound = Fraction(n_l)
     for j in range(l, k):
         p = nth_prime(j)
@@ -114,7 +116,7 @@ class BoundReport:
             "g": self.g,
             "k": self.k,
             "window": [str(self.window[0]), str(self.window[1])],
-            "bound_exact": f"{self.bound.numerator}/{self.bound.denominator}",
+            "bound_exact": f"{_decimal(self.bound.numerator)}/{_decimal(self.bound.denominator)}",
             "bound": float(self.bound),
             "observed": str(self.observed),
             "n_root": str(self.n_root),
@@ -122,10 +124,24 @@ class BoundReport:
         }
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, past the interpreter's limit on int-to-str digits
+    (4300 by default): the level-10 bound's numerator has 7 746.  The
+    limit is lifted for this one conversion and then restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def bound_report(r: int, l: int, g: int, budget: int = SIEVE_BUDGET) -> BoundReport:
     if l < 3:
         raise ValueError(f"level must be >= 3, got {l}")
-    bound = theorem3_lower_bound(r, l, g, budget=budget)
+    bound = theorem3_lower_bound(r, l, g)
     lo = nth_prime(bound.k)
     hi = nth_prime(bound.k + 1) ** 2
     observed = actual_pair_count(g, lo, hi, budget=budget)

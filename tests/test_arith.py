@@ -1,7 +1,10 @@
+import bisect
 import contextlib
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polignac.arith import (
     is_prime,
@@ -108,15 +111,45 @@ def test_pi_examples():
 
 
 def test_pi_against_sieve(small_primes):
-    import bisect
-
     for x in (0, 1, 2, 10, 97, 1000, 65537, 10**6):
         assert prime_count_pi(x) == bisect.bisect_right(small_primes, x)
 
 
+def test_pi_around_prime_squares(small_primes):
+    # Lucy's recursion strikes p at p^2: check both sides of every square.
+    for p in (q for q in small_primes if q <= 1000):
+        for x in (p * p - 1, p * p, p * p + 1):
+            assert prime_count_pi(x) == bisect.bisect_right(small_primes, x), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_pi_matches_sieve_oracle(small_primes, x):
+    assert prime_count_pi(x) == bisect.bisect_right(small_primes, x)
+
+
+# pi(10^k), OEIS A006880.
+PUBLISHED_PI = [0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511]
+
+
+def test_pi_published_powers_of_ten():
+    for k, count in enumerate(PUBLISHED_PI):
+        assert prime_count_pi(10**k) == count, k
+
+
 def test_pi_budget():
-    with pytest.raises(ValueError):
-        prime_count_pi(10**9, budget=10**8)
+    # The work unit is r * isqrt(r) with r = isqrt(x), about x^(3/4):
+    # at 10^9 that is 31622 * 177.
+    assert prime_count_pi(10**9, budget=31622 * 177) == PUBLISHED_PI[9]
+    with pytest.raises(ValueError, match="sieve budget"):
+        prime_count_pi(10**9, budget=31622 * 177 - 1)
+    # The default 2^28 admits r up to 416179 (x < 1.73e11), and refusing
+    # past it allocates nothing.
+    assert 416179 * 645 <= 1 << 28 < 416180 * 645
+    with deadline(1.0), pytest.raises(ValueError, match="sieve budget"):
+        prime_count_pi(416180**2)
+    with pytest.raises(ValueError, match="int64"):
+        prime_count_pi(1 << 63, budget=1 << 100)
 
 
 def test_mod_inverse_examples():

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from polignac.arith import nth_prime
+from polignac import arith
+from polignac.arith import nth_prime, primorial
 from polignac.census import (
     PropagationCase,
     classify_propagation,
@@ -107,6 +108,41 @@ def test_derive_pairs_rejects_non_consecutive_root():
 def test_derive_pairs_rejects_decreasing_root():
     with pytest.raises(ValueError):
         derive_pairs((7, 5), 2, 3)
+
+
+def least_pairs(l):
+    """Least consecutive prospective pair of level l for each gap."""
+    members = oracle_prospective(l)
+    first = {}
+    for a, b in zip(members, members[1:]):
+        first.setdefault(b - a, (a, b))
+    return first
+
+
+@pytest.mark.parametrize("l, segment", [(4, None), (6, 64), (7, None)])
+def test_find_root_pair_is_least(monkeypatch, l, segment):
+    # Windows wider than the first 4096-integer prefix make the search
+    # double its prefix; 64-value segments put pairs across edges.
+    if segment:
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    first = least_pairs(l)
+    for g in range(2, max(first) + 6, 2):
+        assert find_root_pair(l, g) == first.get(g), g
+
+
+def test_find_root_pair_budget_is_exact():
+    # A prefix of budget integers is [5, 4 + budget]: the pair is found
+    # once its upper member is inside, and refused one integer short.
+    first = least_pairs(7)
+    for g in (14, 22, max(first)):
+        a, b = first[g]
+        assert find_root_pair(7, g, budget=b - 4) == (a, b)
+        with pytest.raises(ValueError, match="sieve budget"):
+            find_root_pair(7, g, budget=b - 5)
+    # A window the budget covers whole answers None for an absent gap.
+    assert find_root_pair(7, 40, budget=primorial(7)) is None
+    with pytest.raises(ValueError, match="sieve budget"):
+        find_root_pair(7, 40, budget=primorial(7) - 1)
 
 
 def test_lineage_counts_match_closed_form():

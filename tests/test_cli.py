@@ -1,10 +1,13 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
-from polignac import checks
+from polignac import checks, cli
 from polignac.census import gap_census
 from polignac.cli import main, parse_census_csv
+from polignac.primepairs import BoundReport
 
 
 def run(capsys, *argv):
@@ -236,6 +239,53 @@ def test_lineage_without_root_is_an_error(capsys):
     code, out, err = run(capsys, "lineage", "-r", "2", "-k", "4", "-g", "8")
     assert code == 1
     assert out == "" and err == "error: no gap-8 pair at level 2\n"
+
+
+def test_lineage_root_in_window_past_budget(capsys):
+    # The level-10 window spans 6.5e9 integers, past the default budget,
+    # but its least twin pair, (41, 43), sits a few values in.
+    code, out, err = run(
+        capsys, "lineage", "-r", "10", "-k", "11", "-g", "2", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["root"] == [41, 43]
+    assert len(payload["leaves"]) == int(payload["predicted"]) == 31 - 2
+
+
+def test_lineage_root_search_meets_budget(capsys):
+    # --budget reaches the root search: no level-10 value lies in [5, 14].
+    code, out, err = run(capsys, "--budget", "10", "lineage", "-r", "10", "-k", "11", "-g", "2")
+    assert code == 1 and out == "" and "sieve budget" in err
+    # No gap-100 pair exists at level 10: refused, not answered "no pair".
+    code, out, err = run(capsys, "--budget", "5000", "lineage", "-r", "10", "-k", "11", "-g", "100")
+    assert code == 1 and out == "" and "sieve budget" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bounds_past_int_str_digit_limit(capsys, monkeypatch, fmt):
+    # The level-10 bound's exact numerator has 7 746 digits, past the
+    # interpreter's 4300-digit default limit on int-to-str conversion.
+    bound = Fraction(18932747 * 10**4993 + 7, 10**4993)
+    report = BoundReport(
+        r=2, l=10, g=2, k=7873, window=(80429, 6471719809),
+        bound=bound, observed=18467911, n_root=1,
+    )
+    monkeypatch.setattr(cli.primepairs, "bound_report", lambda r, l, g, budget: report)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "bounds", "-r", "2", "-l", "10", "-g", "2", "--format", fmt)
+    assert code == 2 and err == ""  # ceil(bound) = 18932748 > observed
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "text":
+        assert "bound 18932747.000  observed 18467911  holds False" in out
+        return
+    payload = json.loads(out)
+    assert payload["observed"] == "18467911" and payload["holds"] is False
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(payload["bound_exact"]) == bound
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # Every subcommand with the formats it offers (None: it has no --format).

@@ -1,10 +1,14 @@
+import json
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polignac.arith import nth_prime, primorial
 from polignac.census import gap_census
+from polignac.cli import main
 from polignac.primepairs import (
     actual_pair_count,
     bound_report,
@@ -130,3 +134,60 @@ def test_section5_gap_coverage():
         assert p_k - 1 in census_k
         assert p_k + 1 in census_k
         assert nth_prime(k + 1) - p_k in gap_census(k - 1).entries
+
+
+def twin_pairs_between(lo, hi, chunk=1 << 22):
+    """Twin primes (q, q + 2) with lo < q and q + 2 < hi, lo >= 2, by an
+    odd-only segmented sieve that shares no code with polignac.  Index i
+    of a chunk's flags is the odd number c + 2i."""
+    assert lo >= 2
+    root = math.isqrt(hi)
+    flags = np.ones(root + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    odd_primes = np.flatnonzero(flags)[1:].tolist()
+    first, last = (lo + 1) | 1, (hi - 1) - ((hi - 1) % 2 == 0)
+    twins, carry = 0, False
+    for c in range(first, last + 1, 2 * chunk):
+        size = min(chunk, (last - c) // 2 + 1)
+        odd = np.ones(size, dtype=bool)
+        for p in odd_primes:
+            m = max(p * p, -(-c // p) * p)  # least multiple >= c, p^2, made odd
+            if m % 2 == 0:
+                m += p
+            odd[(m - c) // 2 :: p] = False
+        twins += int(np.count_nonzero(odd[:-1] & odd[1:])) + (carry and bool(odd[0]))
+        carry = bool(odd[-1])
+    return twins
+
+
+def test_twin_counter_oracle():
+    # Twin primes in (lo, hi) by trial division, on windows whose chunk
+    # edges fall between the two members of a pair.
+    for lo, hi, chunk in ((2, 500, 4), (100, 2000, 8), (1000, 10**4, 5), (10**4, 10**5, 1 << 22)):
+        odd = [n for n in range(lo + 1, hi, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+        want = sum(1 for a, b in zip(odd, odd[1:]) if b - a == 2)
+        assert twin_pairs_between(lo, hi, chunk) == want, (lo, hi)
+
+
+@pytest.mark.slow
+def test_theorem3_fails_at_level_10(capsys):
+    # The transcribed Theorem 3 bound at l = 10 exceeds the twin pairs
+    # actually found in its window, so `bounds` reports holds False and
+    # exits 2.  The window spans 6.5e9 integers: minutes on one core.
+    argv = ["--budget", "7000000000", "bounds", "-r", "2", "-l", "10", "-g", "2", "--format", "json"]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    lo, hi = map(int, payload["window"])
+    observed = int(payload["observed"])
+    assert observed == twin_pairs_between(lo, hi)
+    assert payload["holds"] is False
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        bound = Fraction(payload["bound_exact"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert math.ceil(bound) > observed

@@ -104,6 +104,20 @@ def test_prime_count_pi_across_segments(small_segments):
         assert prime_count_pi(x) == bisect.bisect_right(primes, x), x
 
 
+# Prime segments strike odd integers only: 2 is emitted on its own,
+# among the base primes from hi = 4 on and in the range pass below.
+@pytest.mark.parametrize("segment", [16, 64])
+@pytest.mark.parametrize(
+    "lo", [0, 1, 2, 3, 4, 5, 10, 63, 64, 121, 1000, 1001]
+)
+def test_prime_segments_odd_only(monkeypatch, segment, lo):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    primes = oracle_primes(3000)
+    for hi in (0, 1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 120, 121, 1001, 1024, 2999, 3000):
+        got = [int(p) for part in arith.prime_segments(lo, hi) for p in part]
+        assert got == [p for p in primes if lo <= p <= hi], (lo, hi)
+
+
 # Level 16 runs past 2^63 (P_16# ~ 3.3e19): values there no longer fit
 # an int64, so segments must carry them as offsets from a Python int.
 INT64_EDGE = 1 << 63
@@ -170,13 +184,17 @@ def test_gap_census_budget_is_exact(small_segments, budget):
         gap_census(5, lo=lo, hi=lo + budget, budget=budget)
 
 
-def test_prime_count_pi_budget_is_exact(small_segments):
-    # pi(x) sieves its base primes up to isqrt(x), then the x - isqrt(x)
-    # integers above them: that range pass is what the budget meets.
-    primes = oracle_primes(10**4 + 1)
-    assert prime_count_pi(10**4, budget=10**4 - 100) == bisect.bisect_right(primes, 10**4)
+def test_prime_count_pi_budget_is_exact():
+    # Lucy's recursion costs r * isqrt(r) units, r = isqrt(x): at
+    # x = 10^4, 100 * 10 = 1000, and r stays 100 up to 101^2 - 1.
+    primes = oracle_primes(101**2)
+    for x in (10**4, 101**2 - 1):
+        assert prime_count_pi(x, budget=1000) == bisect.bisect_right(primes, x)
+        with pytest.raises(ValueError, match="sieve budget"):
+            prime_count_pi(x, budget=999)
+    assert prime_count_pi(101**2, budget=1010) == bisect.bisect_right(primes, 101**2)
     with pytest.raises(ValueError, match="sieve budget"):
-        prime_count_pi(10**4 + 1, budget=10**4 - 100)
+        prime_count_pi(101**2, budget=1009)
 
 
 def test_find_pair_above_refused_through_base_pass():
