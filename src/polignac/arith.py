@@ -7,17 +7,21 @@ a configurable bound on ``primorial`` still guards against runaway
 growth from bad arguments.
 
 All sieving goes through one kernel, ``_strike``, which clears every
-p-th flag of a mask from each prime's first index on.  Two drivers
-cut a range into ``SEGMENT_SIZE`` segments and hand it each segment:
-``strike_segments`` gives it one flag per integer and the wheel's
-primes, and yields the survivors as int64 offsets from the segment's
-start, a Python int, so segments past 2^63 stay exact;
-``prime_segments`` gives it one flag per odd integer and the odd base
-primes up to sqrt(hi), so its masks hold half as many flags.
-``sieve_primes`` and the pair searches in ``primepairs`` consume prime
+p-th flag of a mask from each prime's first index on, and one driver,
+``strike_segments``, which cuts a range into ``SEGMENT_SIZE`` segments,
+gives the kernel one flag per odd integer of each, and yields the
+survivors as int64 offsets from the segment's start, a Python int, so
+segments past 2^63 stay exact.  Its callers strike odd primes only:
+the wheel's P_2..P_k (every wheel holds 2), and in ``prime_segments``
+the odd base primes up to sqrt(hi).  ``sieve_primes`` consumes prime
 segments, and ``nth_prime`` and ``primorial`` read a list of primes
 that ``sieve_primes`` fills.  ``prime_count_pi`` sieves nothing: it runs
 Lucy's recursion over the values x // i.
+
+``segment_gaps`` turns a stream of segments into the gaps between
+consecutive values, carried across segment edges; the gap censuses,
+pair counts and pair searches in ``census`` and ``primepairs`` all read
+it, the searches through ``first_pair_with_gap``.
 
 The one work limit is the sieve budget.  A sieve pass may span at most
 budget integers, checked once per pass before the first segment is
@@ -70,35 +74,40 @@ def _strike(size: int, primes: Iterable[int], firsts: Iterable[int]) -> np.ndarr
     return flags
 
 
-def _segments(lo: int, hi: int, budget: int) -> Iterator[tuple[int, int]]:
-    """[lo, hi] cut into SEGMENT_SIZE segments, as (start, end) pairs.
-
-    A range of more than budget integers is refused before the first
-    segment is handed out.
-    """
-    if hi - lo + 1 > budget:
-        raise ValueError(f"sieving {lo}:{hi} exceeds the sieve budget of {budget} integers")
-    while lo <= hi:
-        end = min(lo + SEGMENT_SIZE - 1, hi)
-        yield lo, end
-        lo = end + 1
-
-
 def strike_segments(
     lo: int, hi: int, primes: list[int], budget: int = SIEVE_BUDGET
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Values in [lo, hi] divisible by no p in primes, increasing, as
-    one (start, offsets) pair per SEGMENT_SIZE segment: the survivors
-    are start + offsets, with offsets an int64 array.
+    """Odd values in [lo, hi] divisible by none of the odd primes, in
+    increasing order, as one (start, offsets) pair per SEGMENT_SIZE
+    integers: the survivors are start + offsets, with start a Python int
+    and offsets an int64 array, so segments past 2^63 stay exact.
 
-    A range of more than budget integers is refused before the first
+    Flag i of a segment's mask stands for the odd value start + 2i, so
+    a mask holds half as many flags as the segment spans integers.  A
+    range of more than budget integers is refused before the first
     segment is struck.  The generator keeps no reference to a yielded
     array, so a consumer that drops it frees the segment before the
     next one is struck.
     """
-    for start, end in _segments(lo, hi, budget):
-        firsts = [(-start) % p for p in primes]
-        yield start, np.flatnonzero(_strike(end - start + 1, primes, firsts))
+    if hi - lo + 1 > budget:
+        raise ValueError(f"sieving {lo}:{hi} exceeds the sieve budget of {budget} integers")
+    first = lo | 1
+    count = (hi - first) // 2 + 1  # odd values in [lo, hi]
+    half = SEGMENT_SIZE // 2
+    # p is first struck at the index i solving first + 2i = 0 (mod p):
+    # i = -first / 2 = -first * (p + 1) / 2 (mod p).  Each segment
+    # starts half flags on, so its indices are the last ones less half.
+    modulus = np.array(primes, dtype=np.int64)
+    firsts = np.array(
+        [(-first % p) * ((p + 1) // 2) % p for p in primes], dtype=np.int64
+    )
+    for done in range(0, count, half):
+        offsets = np.flatnonzero(_strike(min(half, count - done), primes, firsts.tolist()))
+        offsets *= 2
+        yield first + 2 * done, offsets
+        del offsets  # free this segment before the next one is struck
+        firsts -= half
+        firsts %= modulus
 
 
 def prime_segments(
@@ -107,12 +116,12 @@ def prime_segments(
     """Primes in [lo, hi], increasing, as int64 arrays.
 
     The base primes up to sqrt(hi) come first, as one array.  Above
-    sqrt(hi) each SEGMENT_SIZE segment is struck over its odd integers
-    only, one flag per odd integer, with the odd base primes.  Every
-    such segment starts above every base prime, so striking all
-    multiples leaves exactly the primes; 2 reaches the range pass only
-    when hi < 4, and is added there.  Both passes, the base primes' and
-    the range's, are held to budget in integers spanned.
+    sqrt(hi), ``strike_segments`` strikes the odd base primes from each
+    segment.  Every such segment starts above every base prime, so
+    striking all multiples leaves exactly the odd primes; 2 reaches the
+    range pass only when hi < 4, and is added there.  Both passes, the
+    base primes' and the range's, are held to budget in integers
+    spanned.
     """
     if hi < 2:
         return
@@ -120,27 +129,58 @@ def prime_segments(
         raise ValueError(f"prime segments hold int64 values, got hi={hi}")
     root = math.isqrt(hi)
     base = sieve_primes(root, budget)
+    # Read the odd base primes before base is handed out: a consumer
+    # may overwrite the array it is given.
+    odd = base[1:].tolist()
     if lo <= root:
         yield base[np.searchsorted(base, lo) :]
-    odd = base[1:]  # the odd base primes, as int64
-    # Index i of a segment's mask is the odd integer first + 2i, so p
-    # is first struck at the i solving first + 2i = 0 (mod p):
-    # i = -first / 2 = -first * (p + 1) / 2 (mod p).  Every product
-    # stays below p^2 <= hi, inside int64.
-    half = (odd + 1) // 2
-    odd_primes = odd.tolist()
-    for start, end in _segments(max(lo, root + 1), hi, budget):
-        first = start | 1
-        firsts = (-first % odd) * half % odd
-        primes = np.flatnonzero(
-            _strike((end - first) // 2 + 1, odd_primes, firsts.tolist())
-        )
-        primes *= 2
-        primes += first
-        if start == 2:
-            primes = np.concatenate(([2], primes))
+    lo = max(lo, root + 1)
+    if lo == 2:
+        yield np.array([2], dtype=np.int64)
+    for start, primes in strike_segments(lo, hi, odd, budget):
+        primes += start
         yield primes
         del primes  # free this segment before the next one is struck
+
+
+def segment_gaps(
+    segments: Iterable[tuple[int, np.ndarray]],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Gaps between consecutive values of a stream of (start, offsets)
+    segments, as (base, gaps) chunks in order: base is the value before
+    gaps[0], a Python int, and the values of a chunk are base,
+    base + gaps[0], base + gaps[0] + gaps[1], ...
+
+    Each segment's gaps overwrite its own offsets (no second array).
+    The last value of a segment is carried, and the gap from it to the
+    next segment's first value goes out as a one-gap chunk, a view of
+    the slot that the in-place subtraction frees.
+    """
+    last = None
+    for start, offsets in segments:
+        if not len(offsets):
+            continue
+        first, final = start + int(offsets[0]), start + int(offsets[-1])
+        np.subtract(offsets[1:], offsets[:-1], out=offsets[:-1])
+        if last is not None:
+            offsets[-1] = first - last
+            yield last, offsets[-1:]
+        last = final
+        yield first, offsets[:-1]
+        del offsets  # free this segment before the next one is struck
+
+
+def first_pair_with_gap(
+    chunks: Iterable[tuple[int, np.ndarray]], g: int
+) -> tuple[int, int] | None:
+    """First consecutive pair (q, q + g) in a stream of ``segment_gaps``
+    chunks, or None; stops at the first chunk holding the gap."""
+    for base, gaps in chunks:
+        hits = np.flatnonzero(gaps == g)
+        if len(hits):
+            q = base + int(gaps[: hits[0]].sum())
+            return q, q + g
+    return None
 
 
 def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Gap censuses, gap propagation, and pair-lineage counting.
 
-Covers: consecutive-pair streams and their gap histograms (taken with
-numpy from the per-segment offsets of ``wheel.prospective_segments``),
+Covers: consecutive-pair streams and their gap histograms (read from
+``arith.segment_gaps`` over ``wheel.prospective_segments``),
 the four-case classification of what one propagation step does to a pair
 of adjacent gaps, exhaustive lineage trees for a single root pair with
 the closed-form count they must match, the search for a lineage's root
@@ -19,10 +19,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import SIEVE_BUDGET, is_prime, nth_prime, primorial
+from .arith import (
+    SIEVE_BUDGET, first_pair_with_gap, is_prime, nth_prime, primorial, segment_gaps
+)
 from .wheel import (
     WheelWindow,
-    enumerate_prospective,
     is_prospective,
     mhat,
     prospective_segments,
@@ -62,11 +63,10 @@ def consecutive_pairs(
     Pairs straddling subset boundaries are included; adjacency is taken
     within the requested range.
     """
-    prev = None
-    for n in enumerate_prospective(k, lo, hi):
-        if prev is not None:
-            yield prev, n, n - prev
-        prev = n
+    for base, gaps in segment_gaps(prospective_segments(k, lo, hi)):
+        for gap in gaps.tolist():
+            yield base, base + gap, gap
+            base += gap
 
 
 def gap_census(
@@ -76,13 +76,8 @@ def gap_census(
     hi: int | None = None,
     budget: int = SIEVE_BUDGET,
 ) -> GapCensus:
-    """Exact gap histogram over the full window, one subset, or a range.
-
-    Gaps do not change under translation, so each segment's gaps are
-    taken in place from its int64 offsets, then histogrammed with
-    np.bincount.  The last value of a segment is carried over as a
-    Python int, so the gap across a segment edge is counted too, and
-    ranges past 2^63 stay exact.
+    """Exact gap histogram over the full window, one subset, or a range:
+    the chunks of ``arith.segment_gaps`` histogrammed with np.bincount.
     """
     if subset is not None:
         if lo is not None or hi is not None:
@@ -94,25 +89,13 @@ def gap_census(
     else:
         scope = "full"
     counts = np.zeros(0, dtype=np.int64)
-    last = None
-    for start, offsets in prospective_segments(k, lo, hi, budget):
-        if not len(offsets):
-            continue
-        first, final = start + int(offsets[0]), start + int(offsets[-1])
-        # Gaps overwrite the offsets in place (no second array); the
-        # freed last slot then holds the gap across the previous edge.
-        np.subtract(offsets[1:], offsets[:-1], out=offsets[:-1])
-        gaps = offsets[:-1]
-        if last is not None:
-            offsets[-1] = first - last
-            gaps = offsets
-        last = final
+    for _, gaps in segment_gaps(prospective_segments(k, lo, hi, budget)):
         segment = np.bincount(gaps, minlength=len(counts))
         segment[: len(counts)] += counts
         counts = segment
-        # Drop this segment's array before the next one is struck, so
+        # Drop this segment's gaps before the next one is struck, so
         # only one segment's values are alive at a time.
-        del offsets, gaps
+        del gaps
     entries = {int(g): int(counts[g]) for g in np.flatnonzero(counts)}
     return GapCensus(level=k, scope=scope, entries=entries)
 
@@ -313,25 +296,6 @@ def derive_pairs(
     return PairLineage(root=root, root_level=l, target_level=k, leaves=frontier)
 
 
-def _first_gap(k: int, g: int, hi: int, budget: int) -> tuple[int, int] | None:
-    """Least consecutive prospective pair with gap g at level k in
-    [5, hi], or None; the last value of each segment is carried into the
-    next, so a pair across a segment edge is seen."""
-    last = None
-    for start, offsets in prospective_segments(k, None, hi, budget):
-        if not len(offsets):
-            continue
-        first = start + int(offsets[0])
-        if last is not None and first - last == g:
-            return last, first
-        hits = np.flatnonzero(np.diff(offsets) == g)
-        if len(hits):
-            q = start + int(offsets[hits[0]])
-            return q, q + g
-        last = start + int(offsets[-1])
-    return None
-
-
 def find_root_pair(l: int, g: int, budget: int = SIEVE_BUDGET) -> tuple[int, int] | None:
     """Least consecutive prospective pair with gap g at level l, or None
     when the window holds none.
@@ -345,7 +309,8 @@ def find_root_pair(l: int, g: int, budget: int = SIEVE_BUDGET) -> tuple[int, int
     width = 1 << 12
     while True:
         hi = min(4 + min(width, budget), end)
-        pair = _first_gap(l, g, hi, budget)
+        chunks = segment_gaps(prospective_segments(l, None, hi, budget))
+        pair = first_pair_with_gap(chunks, g)
         if pair is not None or hi == end:
             return pair
         if width >= budget:

@@ -91,12 +91,12 @@ def _parse_range(spec: str | None) -> tuple[int | None, int | None]:
 
 def parse_census_csv(text: str) -> census_mod.GapCensus:
     lines = [line for line in text.splitlines() if line]
-    if lines[0] != "level,scope,gap,count":
+    if not lines or lines[0] != "level,scope,gap,count":
         raise ValueError("not a census CSV")
     entries: dict[int, int] = {}
     level, scope = 0, "full"
     for line in lines[1:]:
-        lvl, scope, gap, count = line.split(",")
+        lvl, scope, gap, count = line.split(",")  # ValueError unless 4 fields
         level = int(lvl)
         entries[int(gap)] = int(count)
     return census_mod.GapCensus(level=level, scope=scope, entries=entries)
@@ -107,7 +107,7 @@ def _cmd_gen(args, config: RunConfig) -> Output:
     values = [
         str(v) for v in wheel.enumerate_prospective(args.level, lo, hi, config.sieve_budget)
     ]
-    text = "\n".join(values) + "\n"
+    text = "".join(f"{v}\n" for v in values)
     return Output({"level": args.level, "values": values}, text, "value\n" + text)
 
 

@@ -8,11 +8,11 @@ level, evaluates the lower bound on gap-g prime pairs inside
 bound from one level to the next, and searches for prime pairs above a
 threshold.
 
-Both sieve-bound computations stream the odd-only prime segments of
-``arith.prime_segments`` over just the range they need: pair counts add
-up ``np.diff(segment) == g`` per segment, and the pair search stops at
-the first segment holding a hit.  The last prime of each segment is
-carried into the next, so pairs straddling a segment edge are seen.
+Both sieve-bound computations read the gaps between consecutive primes
+from ``arith.segment_gaps`` over the odd-only prime segments of
+``arith.prime_segments``, for just the range they need, so pairs
+straddling a segment edge are seen: pair counts add up ``gaps == g`` per
+chunk, and the pair search stops at the first chunk holding a hit.
 k = pi(sqrt(P_l#)) comes from ``arith.prime_count_pi``, which sieves
 nothing, so only the pair count of ``bound_report`` is held to a sieve
 budget.
@@ -28,7 +28,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import SIEVE_BUDGET, is_prime, nth_prime, prime_count_pi, prime_segments, primorial
+from .arith import (
+    SIEVE_BUDGET, first_pair_with_gap, is_prime, nth_prime, prime_count_pi, prime_segments,
+    primorial, segment_gaps,
+)
 from .census import predicted_derived_count
 from .wheel import enumerate_prospective
 
@@ -39,28 +42,21 @@ def k_for_level(l: int) -> int:
     return prime_count_pi(math.isqrt(primorial(l)))
 
 
-def _consecutive_prime_pairs(
-    lo: int, hi: int, budget: int = SIEVE_BUDGET
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Consecutive primes q < q' in [lo, hi], segment by segment: yields
-    (lower members, gaps) per prime segment, the first gap of a segment
-    being the one from the previous segment's last prime."""
-    last = None
-    for primes in prime_segments(lo, hi, budget):
-        if not len(primes):
-            continue
-        if last is not None:
-            primes = np.concatenate(([last], primes))
-        last = int(primes[-1])
-        yield primes[:-1], np.diff(primes)
+def _prime_gaps(lo: int, hi: int, budget: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``arith.segment_gaps`` chunks of the consecutive primes in [lo, hi]."""
+    # map, unlike a generator expression, holds no segment while the
+    # next one is struck.
+    segments = map(lambda primes: (0, primes), prime_segments(lo, hi, budget))
+    return segment_gaps(segments)
 
 
 def actual_pair_count(g: int, lo: int, hi: int, budget: int = SIEVE_BUDGET) -> int:
     """Consecutive-prime pairs (q, q') with q' - q = g and lo < q, q' < hi."""
-    return sum(
-        int(np.count_nonzero(gaps == g))
-        for _, gaps in _consecutive_prime_pairs(lo + 1, hi - 1, budget)
-    )
+    count = 0
+    for _, gaps in _prime_gaps(lo + 1, hi - 1, budget):
+        count += int(np.count_nonzero(gaps == g))
+        del gaps  # free this segment before the next one is struck
+    return count
 
 
 class LowerBound(NamedTuple):
@@ -179,12 +175,7 @@ def find_pair_above(
         raise ValueError(f"gap must be even and >= 2, got {g}")
     if search_limit <= m:
         raise ValueError(f"search limit {search_limit} must exceed {m}")
-    for lower, gaps in _consecutive_prime_pairs(m + 1, search_limit, budget):
-        hits = np.flatnonzero(gaps == g)
-        if len(hits):
-            q = int(lower[hits[0]])
-            return q, q + g
-    return None
+    return first_pair_with_gap(_prime_gaps(m + 1, search_limit, budget), g)
 
 
 @dataclass

@@ -7,12 +7,14 @@ of width P_{k-1}#.  Propagation carries a prospective prime from one
 level to the next by adding m * P_k#, with exactly one residue m
 (the disallowed index) producing a multiple of P_{k+1}.
 
-Prospective primes are found by the sieve kernel in ``arith``: each
-``arith.SEGMENT_SIZE`` segment of the window has the multiples of
-P_1..P_k struck out, and ``prospective_segments`` yields the survivors
-as one (start, offsets) pair per segment.  Array consumers (the gap
-census) read the offsets directly; ``enumerate_prospective`` adds the
-start back value by value, as Python ints, so windows past 2^63 work.
+Prospective primes are found by the one sieve driver,
+``arith.strike_segments``: every wheel holds 2, so it masks only the
+odd integers of each ``arith.SEGMENT_SIZE`` segment of the window and
+strikes P_2..P_k from them, and ``prospective_segments`` yields the
+survivors as one (start, offsets) pair per segment.  Array consumers
+(the gap census, through ``arith.segment_gaps``) read the offsets
+directly; ``enumerate_prospective`` adds the start back value by value,
+as Python ints, so windows past 2^63 work.
 
 No level is refused for being high: what a window, subset or range
 costs is the integers it spans, and the sieve budget of
@@ -103,8 +105,8 @@ def prospective_segments(
     window = WheelWindow(k)
     lo = window.lo if lo is None else max(lo, window.lo)
     hi = window.hi if hi is None else min(hi, window.hi)
-    wheel = [nth_prime(i) for i in range(1, k + 1)]
-    return strike_segments(lo, hi, wheel, budget)
+    # Every wheel holds 2 (k >= 2), so the odd-only driver strikes P_2..P_k.
+    return strike_segments(lo, hi, [nth_prime(i) for i in range(2, k + 1)], budget)
 
 
 def enumerate_prospective(

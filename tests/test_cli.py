@@ -22,6 +22,21 @@ def test_gen(capsys):
     assert out.split() == ["7", "11", "13", "17", "19", "23", "29", "31"]
 
 
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("text", ""),
+        ("csv", "value\n"),
+        ("json", '{\n  "level": 2,\n  "values": []\n}\n'),
+    ],
+)
+def test_gen_empty_range(capsys, fmt, expected):
+    # The level-2 window is [5, 10]: 100:200 holds no value.
+    code, out, _ = run(capsys, "gen", "-k", "2", "--range", "100:200", "--format", fmt)
+    assert code == 0
+    assert out == expected
+
+
 def test_census_gap_count(capsys):
     code, out, _ = run(capsys, "census", "--level", "4", "--gap", "2")
     assert code == 0
@@ -149,6 +164,20 @@ def test_export_empty_census_header_only(tmp_path, capsys):
     )
     assert code == 0
     assert path.read_text() == "level,scope,gap,count\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n",
+        "level,scope,gap,count\n4,full,2\n",
+        "level,scope,gap,count\n4,full,2,15,9\n",
+    ],
+)
+def test_parse_census_csv_refuses_malformed(text):
+    with pytest.raises(ValueError):
+        parse_census_csv(text)
 
 
 def test_export_bounds_json(tmp_path, capsys):

@@ -7,9 +7,13 @@ test."""
 
 import bisect
 import time
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polignac import arith, wheel
 from polignac.arith import nth_prime, prime_count_pi, primorial
@@ -116,6 +120,78 @@ def test_prime_segments_odd_only(monkeypatch, segment, lo):
     for hi in (0, 1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 120, 121, 1001, 1024, 2999, 3000):
         got = [int(p) for part in arith.prime_segments(lo, hi) for p in part]
         assert got == [p for p in primes if lo <= p <= hi], (lo, hi)
+
+
+# A consumer may overwrite the arrays it is given (gap streams take
+# their gaps in place): the base primes handed out first must not be
+# the ones the later segments are struck with.
+@pytest.mark.parametrize("segment", [16, 64])
+def test_prime_segments_survive_consumer_writes(monkeypatch, segment):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    primes = oracle_primes(3000)
+    for lo, hi in ((0, 3000), (2, 1000), (30, 2999), (54, 2916)):  # lo <= sqrt(hi)
+        got = []
+        for part in arith.prime_segments(lo, hi):
+            got += part.tolist()
+            part[:] = 0
+        assert got == [p for p in primes if lo <= p <= hi], (lo, hi)
+
+
+@st.composite
+def segmented_values(draw):
+    """(values, segments): increasing values, some past 2^63, cut at
+    random into (start, int64 offsets) segments, empty and one-value
+    segments included."""
+    shift = draw(st.sampled_from([0, 1000, (1 << 63) - 40, (1 << 63) + 7]))
+    rel = sorted(draw(st.sets(st.integers(0, 400), max_size=30)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rel)), max_size=8)))
+    segments = []
+    for a, b in zip([0, *cuts], [*cuts, len(rel)]):
+        part = rel[a:b]
+        start = shift + (part[0] if part else 0) - draw(st.integers(0, 5))
+        segments.append((start, np.array([shift + r - start for r in part], dtype=np.int64)))
+    return [shift + r for r in rel], segments
+
+
+@settings(max_examples=200, deadline=None)
+@given(segmented_values())
+def test_segment_gaps_match_diff(case):
+    values, segments = case
+    gaps, i = [], 0
+    for base, chunk in arith.segment_gaps(segments):
+        assert base == values[i]  # base is the value before chunk[0]
+        gaps += chunk.tolist()
+        i += len(chunk)
+    rel = np.array(values, dtype=object) - (values[0] if values else 0)
+    assert gaps == np.diff(rel.astype(np.int64)).tolist()
+
+
+# A pass keeps one segment alive at a time: the driver, the gap stream
+# and the consumer each drop a segment's array before the next one is
+# struck.  Peaks are in segments of int64 (8 * SEGMENT_SIZE bytes).  A
+# segment's mask takes 1/16 of one.  The level-8 census keeps the
+# prod(1 - 1/p), p <= 19, ~ 0.17 of integers coprime to P_8#, and peaks
+# near 0.24 with one segment alive, 0.41 with two; the pair count keeps
+# the primes, ~ 0.06 near 10^7, and peaks near 0.15 with one, 0.22 with
+# two.
+@pytest.mark.parametrize(
+    "call, bound",
+    [
+        (lambda: gap_census(8), 0.32),
+        (lambda: actual_pair_count(2, 10**6, 10**7), 0.18),
+    ],
+    ids=["gap_census", "actual_pair_count"],
+)
+def test_one_segment_alive(monkeypatch, call, bound):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 2**18)
+    call()  # fill the prime table outside the traced run
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 8 * arith.SEGMENT_SIZE
 
 
 # Level 16 runs past 2^63 (P_16# ~ 3.3e19): values there no longer fit
