@@ -5,9 +5,9 @@ Covers: consecutive-pair streams and their gap histograms (read from
 the four-case classification of what one propagation step does to a pair
 of adjacent gaps, exhaustive lineage trees for a single root pair with
 the closed-form count they must match, the search for a lineage's root
-pair over prefixes of the window, subset boundary-gap spectra,
-per-subset minimum counts, and the constant separation of the two
-disallowed indices attached to a gap-g pair.
+pair in one budgeted pass over the window's start, subset boundary-gap
+spectra, per-subset minimum counts, and the constant separation of the
+two disallowed indices attached to a gap-g pair.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .arith import (
 )
 from .wheel import (
     WheelWindow,
-    is_prospective,
+    enumerate_prospective,
     mhat,
     prospective_segments,
     subset_extremes,
@@ -100,16 +100,19 @@ def gap_census(
     return GapCensus(level=k, scope=scope, entries=entries)
 
 
+def require_gap(g: int) -> None:
+    """Refuse a gap that is not even and >= 2: no other gap occurs
+    between prospective primes of level 2 or more, or between odd primes."""
+    if g < 2 or g % 2:
+        raise ValueError(f"gap must be even and >= 2, got {g}")
+
+
 def _require_consecutive(run: tuple[int, ...], k: int) -> None:
-    """Refuse a run that is not increasing, consecutive prospective
-    primes of level k."""
-    if any(a >= b for a, b in zip(run, run[1:])):
-        raise ValueError(f"{run} is not increasing")
-    for q in run:
-        if not is_prospective(q, k):
-            raise ValueError(f"{q} is not prospective at level {k}")
-    if any(is_prospective(n, k) for n in range(run[0] + 1, run[-1]) if n not in run):
-        raise ValueError(f"{run} is not consecutive at level {k}")
+    """Refuse a run that is not every prospective prime of level k from
+    its first value to its last, in increasing order."""
+    first, last = run[0], run[-1]
+    if first > last or tuple(enumerate_prospective(k, first, last)) != tuple(run):
+        raise ValueError(f"{run} is not a run of consecutive prospective primes at level {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +244,7 @@ def predicted_derived_count(l: int, k: int, g: int) -> int:
     """Closed-form count of gap-g descendants one root pair at level l
     spawns at level k: one factor P_i - 1 or P_i - 2 per level, picked
     by whether P_i divides g."""
-    if g < 2 or g % 2:
-        raise ValueError(f"gap must be even and >= 2, got {g}")
+    require_gap(g)
     if not 2 <= l < k:
         raise ValueError(f"need k > l >= 2, got l={l}, k={k}")
     count = 1
@@ -252,21 +254,17 @@ def predicted_derived_count(l: int, k: int, g: int) -> int:
     return count
 
 
-def derive_pairs(
-    root: tuple[int, int],
-    l: int,
-    k: int,
-    lineage_cap: int = LINEAGE_CAP,
-) -> PairLineage:
+def derive_pairs(root: tuple[int, int], l: int, k: int) -> PairLineage:
     """All gap-g descendants of one consecutive pair, level l up to k.
 
     At each level both components get the same residue m, skipping the
     one or two disallowed values; leaf count must equal
-    predicted_derived_count(l, k, g).
+    predicted_derived_count(l, k, g).  Spans wider than LINEAGE_CAP
+    are refused.
     """
-    if k - l > lineage_cap:
+    if k - l > LINEAGE_CAP:
         raise ValueError(
-            f"span {k - l} exceeds lineage cap {lineage_cap}; "
+            f"span {k - l} exceeds lineage cap {LINEAGE_CAP}; "
             "use predicted_derived_count for the size"
         )
     _require_consecutive(root, l)
@@ -300,25 +298,21 @@ def find_root_pair(l: int, g: int, budget: int = SIEVE_BUDGET) -> tuple[int, int
     """Least consecutive prospective pair with gap g at level l, or None
     when the window holds none.
 
-    Prefixes of the window that double in size are searched in turn,
-    each held to budget, so a pair near the start of a window too wide
-    to sieve whole is still found.  When the widest prefix the budget
-    admits holds no pair and the window runs on, the search is refused.
+    One pass streams the window's first budget integers, [5, 4 + budget]
+    or the whole window if shorter, segment by segment, and stops at the
+    first segment holding the gap, so a pair near the start of a window
+    too wide to sieve whole is still found.  When that prefix holds no
+    pair and the window runs on, the search is refused.
     """
     end = WheelWindow(l).hi
-    width = 1 << 12
-    while True:
-        hi = min(4 + min(width, budget), end)
-        chunks = segment_gaps(prospective_segments(l, None, hi, budget))
-        pair = first_pair_with_gap(chunks, g)
-        if pair is not None or hi == end:
-            return pair
-        if width >= budget:
-            raise ValueError(
-                f"no gap-{g} pair among the first {budget} integers of the level-{l} "
-                f"window; searching on exceeds the sieve budget"
-            )
-        width *= 2
+    hi = min(4 + budget, end)
+    pair = first_pair_with_gap(segment_gaps(prospective_segments(l, None, hi, budget)), g)
+    if pair is None and hi < end:
+        raise ValueError(
+            f"no gap-{g} pair among the first {budget} integers of the level-{l} "
+            f"window; searching on exceeds the sieve budget"
+        )
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +350,6 @@ def per_subset_pair_census(
     k: int,
     g: int,
     root: tuple[int, int] | None = None,
-    lineage_cap: int = LINEAGE_CAP,
 ) -> PerSubsetCensus:
     """Count one root pair's descendants landing in each subset of the
     level-k window (pair located by its lower component)."""
@@ -366,7 +359,7 @@ def per_subset_pair_census(
         root = find_root_pair(l, g)
         if root is None:
             raise ValueError(f"no gap-{g} pair at level {l}")
-    lineage = derive_pairs(root, l, k, lineage_cap=lineage_cap)
+    lineage = derive_pairs(root, l, k)
     counts = [0] * nth_prime(k)
     for leaf in lineage.leaves:
         counts[subset_of(leaf.pair[0], k)] += 1
@@ -380,8 +373,7 @@ def mhat_delta(k: int, g: int) -> int:
     """Constant separation (mhat' - mhat) mod P_k shared by every gap-g
     pair propagating into level k.  mhat is linear in p, so the
     separation of (p, p + g) is the disallowed index of g itself."""
-    if g < 2 or g % 2:
-        raise ValueError(f"gap must be even and >= 2, got {g}")
+    require_gap(g)
     return mhat(g, k).value
 
 

@@ -18,20 +18,17 @@ out of range, ``lineage`` with no root pair included, prints
 ``error: <message>`` on stderr.
 The one global flag, ``--budget N``, sets the sieve budget: the most
 integers one sieve pass of gen, census, lineage, bounds or find-pair may
-cover.
-The environment variable POLIGNAC_CONFIG may point at a JSON
-run-config file with the keys ``lineage_cap`` and ``sieve_budget``;
-the flag wins over it.  Exact quantities appear in JSON output as
-decimal strings, never floats.
+cover, ``arith.SIEVE_BUDGET`` by default; a budget below 1 is refused.
+It is the only setting: nothing is read from the environment, and the
+lineage cap is the constant ``census.LINEAGE_CAP``.  Exact quantities
+appear in JSON output as decimal strings, never floats.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from . import census as census_mod
@@ -43,32 +40,6 @@ from .arith import SIEVE_BUDGET
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
-
-
-@dataclass
-class RunConfig:
-    lineage_cap: int = census_mod.LINEAGE_CAP
-    sieve_budget: int = SIEVE_BUDGET
-
-    @classmethod
-    def from_environment(cls) -> "RunConfig":
-        config = cls()
-        path = os.environ.get("POLIGNAC_CONFIG")
-        if not path:
-            return config
-        with open(path) as handle:
-            settings = json.load(handle)
-        if not isinstance(settings, dict):
-            raise ValueError(f"{path}: expected a JSON object")
-        known = {f.name for f in fields(cls)}
-        for key, value in settings.items():
-            if key not in known:
-                raise ValueError(f"{path}: unknown setting {key!r}")
-            # bool is an int subclass; true must not pass as 1
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{path}: {key} must be a positive integer, got {value!r}")
-            setattr(config, key, value)
-        return config
 
 
 class Output(NamedTuple):
@@ -86,7 +57,10 @@ def _parse_range(spec: str | None) -> tuple[int | None, int | None]:
     if spec is None:
         return None, None
     lo, _, hi = spec.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"--range must be LO:HI, two integers, got {spec!r}") from None
 
 
 def parse_census_csv(text: str) -> census_mod.GapCensus:
@@ -102,19 +76,21 @@ def parse_census_csv(text: str) -> census_mod.GapCensus:
     return census_mod.GapCensus(level=level, scope=scope, entries=entries)
 
 
-def _cmd_gen(args, config: RunConfig) -> Output:
+def _cmd_gen(args) -> Output:
     lo, hi = _parse_range(args.range)
     values = [
-        str(v) for v in wheel.enumerate_prospective(args.level, lo, hi, config.sieve_budget)
+        str(v) for v in wheel.enumerate_prospective(args.level, lo, hi, args.budget)
     ]
     text = "".join(f"{v}\n" for v in values)
     return Output({"level": args.level, "values": values}, text, "value\n" + text)
 
 
-def _cmd_census(args, config: RunConfig) -> Output:
+def _cmd_census(args) -> Output:
     lo, hi = _parse_range(args.range)
+    if args.gap is not None:
+        census_mod.require_gap(args.gap)
     c = census_mod.gap_census(
-        args.level, subset=args.subset, lo=lo, hi=hi, budget=config.sieve_budget
+        args.level, subset=args.subset, lo=lo, hi=hi, budget=args.budget
     )
     if args.gap is None:
         entries = sorted(c.entries.items())
@@ -133,13 +109,11 @@ def _cmd_census(args, config: RunConfig) -> Output:
     return Output(payload, text, csv)
 
 
-def _cmd_lineage(args, config: RunConfig) -> Output:
-    root = census_mod.find_root_pair(args.root_level, args.gap, config.sieve_budget)
+def _cmd_lineage(args) -> Output:
+    root = census_mod.find_root_pair(args.root_level, args.gap, args.budget)
     if root is None:
         raise ValueError(f"no gap-{args.gap} pair at level {args.root_level}")
-    lineage = census_mod.derive_pairs(
-        root, args.root_level, args.level, lineage_cap=config.lineage_cap
-    )
+    lineage = census_mod.derive_pairs(root, args.root_level, args.level)
     predicted = census_mod.predicted_derived_count(
         args.root_level, args.level, args.gap
     )
@@ -150,7 +124,7 @@ def _cmd_lineage(args, config: RunConfig) -> Output:
     )
 
 
-def _cmd_verify(args, config: RunConfig) -> Output:
+def _cmd_verify(args) -> Output:
     results = list(checks_mod.run_all(max_level=args.max_level))
     text = "".join(
         f"{'pass' if r.ok else 'FAIL'}  {r.name}"
@@ -162,19 +136,19 @@ def _cmd_verify(args, config: RunConfig) -> Output:
     return Output(None, text, code=code)
 
 
-def _cmd_subset_gaps(args, config: RunConfig) -> Output:
+def _cmd_subset_gaps(args) -> Output:
     gaps = [str(g) for g in census_mod.subset_gap_spectrum(args.level)]
     return Output({"level": args.level, "gaps": gaps}, " ".join(gaps) + "\n")
 
 
-def _cmd_table1(args, config: RunConfig) -> Output:
+def _cmd_table1(args) -> Output:
     table = census_mod.table1()
     return Output(table.to_json_dict(), table.render_text() + "\n")
 
 
-def _cmd_bounds(args, config: RunConfig) -> Output:
+def _cmd_bounds(args) -> Output:
     report = primepairs.bound_report(
-        args.root_level, args.from_level, args.gap, budget=config.sieve_budget
+        args.root_level, args.from_level, args.gap, budget=args.budget
     )
     text = (
         f"r={report.r} l={report.l} g={report.g} k={report.k} "
@@ -186,14 +160,14 @@ def _cmd_bounds(args, config: RunConfig) -> Output:
     return Output(report.to_json_dict(), text, code=code)
 
 
-def _cmd_ratios(args, config: RunConfig) -> Output:
+def _cmd_ratios(args) -> Output:
     value = primepairs.growth_ratio(args.from_level)
     return Output({"l": args.from_level, "ratio": round(value, 3)}, f"{value:.1f}\n")
 
 
-def _cmd_find_pair(args, config: RunConfig) -> Output:
+def _cmd_find_pair(args) -> Output:
     pair = primepairs.find_pair_above(
-        args.gap, args.above, args.limit, budget=config.sieve_budget
+        args.gap, args.above, args.limit, budget=args.budget
     )
     if pair is None:
         return Output({"gap": args.gap, "pair": None}, "not-found\n")
@@ -235,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Primorial-wheel prospective primes and prime-pair bounds",
     )
     parser.add_argument(
-        "--budget", type=int, default=None, help="most integers one sieve pass may cover"
+        "--budget", type=int, default=SIEVE_BUDGET, help="most integers one sieve pass may cover"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -300,10 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        config = RunConfig.from_environment()
-        if args.budget is not None:
-            config.sieve_budget = args.budget
-        result = args.func(args, config)
+        if args.budget < 1:
+            raise ValueError(f"--budget must be a positive integer, got {args.budget}")
+        result = args.func(args)
         if args.format == "json":
             rendered = json.dumps(result.payload, sort_keys=True, indent=2) + "\n"
         else:

@@ -32,7 +32,7 @@ from .arith import (
     SIEVE_BUDGET, first_pair_with_gap, is_prime, nth_prime, prime_count_pi, prime_segments,
     primorial, segment_gaps,
 )
-from .census import predicted_derived_count
+from .census import predicted_derived_count, require_gap
 from .wheel import enumerate_prospective
 
 
@@ -74,16 +74,16 @@ def theorem3_lower_bound(r: int, l: int, g: int) -> LowerBound:
     """
     if not 2 <= r <= l:
         raise ValueError(f"need l >= r >= 2, got r={r}, l={l}")
-    if g < 2 or g % 2:
-        raise ValueError(f"gap must be even and >= 2, got {g}")
+    require_gap(g)
     n_l = 1 if l == r else predicted_derived_count(r, l, g)
     k = k_for_level(l)
-    bound = Fraction(n_l)
-    for j in range(l, k):
-        p = nth_prime(j)
-        bound *= Fraction(p - 4, p - 2)
-        if g % p == 0:
-            bound *= Fraction(p - 2, p - 1)
+    # One factor (p - 4) / (p - 2) per P_l <= p < P_k, times (p - 2) / (p - 1)
+    # where p | g: both products are built whole and reduced once.
+    primes = [nth_prime(j) for j in range(l, k)]
+    bound = Fraction(
+        n_l * math.prod(p - 4 for p in primes),
+        math.prod(p - 1 if g % p == 0 else p - 2 for p in primes),
+    )
     return LowerBound(exact=bound, k=k, n_root=n_l)
 
 
@@ -171,8 +171,7 @@ def find_pair_above(
     """Least consecutive-prime pair with difference g whose lower member
     exceeds m, or None if none turns up below search_limit, which must
     exceed m."""
-    if g < 2 or g % 2:
-        raise ValueError(f"gap must be even and >= 2, got {g}")
+    require_gap(g)
     if search_limit <= m:
         raise ValueError(f"search limit {search_limit} must exceed {m}")
     return first_pair_with_gap(_prime_gaps(m + 1, search_limit, budget), g)

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -98,6 +99,10 @@ def test_derive_pairs_examples():
 def test_derive_pairs_cap():
     with pytest.raises(ValueError):
         derive_pairs((5, 7), 2, 8)
+    # The cap is a span of 4 levels: 2 -> 6 is expanded, 2 -> 7 refused.
+    assert len(derive_pairs((5, 7), 2, 6).leaves) == predicted_derived_count(2, 6, 2)
+    with pytest.raises(ValueError, match="lineage cap 4"):
+        derive_pairs((5, 7), 2, 7)
 
 
 def test_derive_pairs_rejects_non_consecutive_root():
@@ -108,6 +113,16 @@ def test_derive_pairs_rejects_non_consecutive_root():
 def test_derive_pairs_rejects_decreasing_root():
     with pytest.raises(ValueError):
         derive_pairs((7, 5), 2, 3)
+
+
+@pytest.mark.parametrize(
+    "run, level",
+    [((7, 5), 2), ((5, 5), 2), ((113, 127), 4), ((1, 11), 3), ((31, 37), 3)],
+)
+def test_consecutive_refusal_names_run_and_level(run, level):
+    # Decreasing, repeated, skipping 121, below the window, past its end.
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(run))}.* level {level}$"):
+        derive_pairs(run, level, level + 1)
 
 
 def least_pairs(l):
@@ -121,8 +136,9 @@ def least_pairs(l):
 
 @pytest.mark.parametrize("l, segment", [(4, None), (6, 64), (7, None)])
 def test_find_root_pair_is_least(monkeypatch, l, segment):
-    # Windows wider than the first 4096-integer prefix make the search
-    # double its prefix; 64-value segments put pairs across edges.
+    # The search streams the window segment by segment and stops at the
+    # first segment holding the gap; 64-value segments put pairs across
+    # edges and the least pair past the first segment.
     if segment:
         monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
     first = least_pairs(l)

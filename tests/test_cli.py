@@ -202,33 +202,36 @@ def test_export_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "settings, named",
-    [
-        ({"sieve_budget": "9"}, "sieve_budget"),
-        ({"sieve_budgte": 9}, "sieve_budgte"),
-        ({"sieve_budget": True}, "sieve_budget"),
-        ({"lineage_cap": 0}, "lineage_cap"),
-        ([9], "JSON object"),
-    ],
-)
-def test_config_file_rejects_bad_settings(tmp_path, capsys, monkeypatch, settings, named):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(settings))
-    monkeypatch.setenv("POLIGNAC_CONFIG", str(config))
-    code, out, err = run(capsys, "gen", "--level", "3")
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["census", "-k", "3"], ["gen", "-k", "3"]])
+def test_budget_below_1_refused(capsys, budget, argv):
+    code, out, err = run(capsys, "--budget", budget, *argv)
     assert code == 1
-    assert out == "" and err.startswith("error:") and named in err
+    assert out == "" and err.startswith("error:") and "--budget" in err
 
 
-def test_config_file_respected(tmp_path, capsys, monkeypatch):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"sieve_budget": 30}))
-    monkeypatch.setenv("POLIGNAC_CONFIG", str(config))
-    code, _, err = run(capsys, "gen", "--level", "4")
-    assert code == 1  # budget from config forbids level 4 (210 integers)
+def test_budget_flag_respected(capsys):
+    # The level-4 window [5, 214] spans 210 integers.
     code, out, _ = run(capsys, "--budget", "210", "gen", "--level", "4")
-    assert code == 0  # flag overrides the config file
+    assert code == 0 and out.split()[:3] == ["11", "13", "17"]
+    code, out, err = run(capsys, "--budget", "209", "gen", "--level", "4")
+    assert code == 1
+    assert out == "" and err.startswith("error:") and "sieve budget" in err
+
+
+@pytest.mark.parametrize("gap", ["-2", "0", "1", "3"])
+def test_census_refuses_gap_not_even_and_at_least_2(capsys, gap):
+    code, out, err = run(capsys, "census", "-k", "3", "-g", gap)
+    assert code == 1
+    assert out == "" and err == f"error: gap must be even and >= 2, got {gap}\n"
+
+
+@pytest.mark.parametrize("spec", ["7", "7:", ":9", "a:9", "7:9:11", ""])
+@pytest.mark.parametrize("command", ["gen", "census"])
+def test_malformed_range_names_flag_and_form(capsys, command, spec):
+    code, out, err = run(capsys, command, "-k", "3", "--range", spec)
+    assert code == 1
+    assert out == "" and err.startswith("error: --range") and "LO:HI" in err
 
 
 def test_render_census_text(capsys):

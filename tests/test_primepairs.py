@@ -52,6 +52,8 @@ def test_actual_pair_count_against_oracle(small_primes):
 def test_theorem3_lower_bound_examples():
     assert float(theorem3_lower_bound(2, 5, 2).exact) == pytest.approx(43.6, abs=0.05)
     assert theorem3_lower_bound(2, 4, 2).exact == Fraction(15 * 3 * 7, 5 * 9)
+    # 7 | 14: its factor is (7 - 4) / (7 - 1); n(4) = (5 - 2)(7 - 1) = 18.
+    assert theorem3_lower_bound(2, 4, 14).exact == Fraction(18 * 3 * 7, 6 * 9)
     assert theorem3_lower_bound(2, 2, 2).exact == 1
 
 
