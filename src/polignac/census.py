@@ -8,6 +8,10 @@ the closed-form count they must match, the search for a lineage's root
 pair in one budgeted pass over the window's start, subset boundary-gap
 spectra, per-subset minimum counts, and the constant separation of the
 two disallowed indices attached to a gap-g pair.
+
+A lineage tree grows as plain (value, steps) tuples, with one mhat call
+per node and one LineageStep shared by the nodes of a level that have
+the same disallowed indices; a LineageLeaf is built only for a final leaf.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -240,13 +245,17 @@ class PairLineage:
         }
 
 
+def _require_levels(l: int, k: int) -> None:
+    if not 2 <= l < k:
+        raise ValueError(f"need k > l >= 2, got l={l}, k={k}")
+
+
 def predicted_derived_count(l: int, k: int, g: int) -> int:
     """Closed-form count of gap-g descendants one root pair at level l
     spawns at level k: one factor P_i - 1 or P_i - 2 per level, picked
     by whether P_i divides g."""
     require_gap(g)
-    if not 2 <= l < k:
-        raise ValueError(f"need k > l >= 2, got l={l}, k={k}")
+    _require_levels(l, k)
     count = 1
     for i in range(l + 1, k + 1):
         p = nth_prime(i)
@@ -255,43 +264,44 @@ def predicted_derived_count(l: int, k: int, g: int) -> int:
 
 
 def derive_pairs(root: tuple[int, int], l: int, k: int) -> PairLineage:
-    """All gap-g descendants of one consecutive pair, level l up to k.
+    """All gap-g descendants of one consecutive pair, level l up to k,
+    increasing; the leaf count must equal predicted_derived_count(l, k, g).
 
-    At each level both components get the same residue m, skipping the
-    one or two disallowed values; leaf count must equal
-    predicted_derived_count(l, k, g).  Spans wider than LINEAGE_CAP
-    are refused.
+    The tree grows as plain (x, steps) tuples.  Entering level j + 1,
+    both members of (x, x + g) take the same residue m, any but their two
+    disallowed indices: one mhat call per node gives x's, and mhat being
+    linear, x + g's is that plus mhat_delta.  Nodes with the same index
+    share one list of (m * P_j#, LineageStep); the leaves are sorted by x
+    and built last.  Refused: l < 2 or k <= l (as predicted_derived_count
+    refuses them), spans wider than LINEAGE_CAP, and a root that is not a
+    consecutive pair.
     """
+    _require_levels(l, k)
     if k - l > LINEAGE_CAP:
         raise ValueError(
             f"span {k - l} exceeds lineage cap {LINEAGE_CAP}; "
             "use predicted_derived_count for the size"
         )
     _require_consecutive(root, l)
-    frontier: list[LineageLeaf] = [LineageLeaf(pair=root, steps=())]
+    g = root[1] - root[0]
+    frontier: list[tuple[int, tuple[LineageStep, ...]]] = [(root[0], ())]
     for j in range(l, k):
-        step_size = primorial(j)
-        p_next = nth_prime(j + 1)
-        grown: list[LineageLeaf] = []
-        for node in frontier:
-            a, b = node.pair
-            hat_a = mhat(a, j + 1).value
-            hat_b = mhat(b, j + 1).value
-            for m in range(p_next):
-                if m == hat_a or m == hat_b:
-                    continue
-                step = LineageStep(
-                    level=j + 1, chosen_m=m, disallowed=(hat_a, hat_b)
-                )
-                grown.append(
-                    LineageLeaf(
-                        pair=(a + m * step_size, b + m * step_size),
-                        steps=node.steps + (step,),
-                    )
-                )
+        p, step_size, delta = nth_prime(j + 1), primorial(j), mhat_delta(j + 1, g)
+        choices: dict[int, list[tuple[int, LineageStep]]] = {}
+        grown: list[tuple[int, tuple[LineageStep, ...]]] = []
+        for x, steps in frontier:
+            hat = mhat(x, j + 1).value
+            if hat not in choices:
+                hats = (hat, (hat + delta) % p)
+                choices[hat] = [
+                    (m * step_size, LineageStep(j + 1, m, hats))
+                    for m in range(p) if m not in hats
+                ]
+            grown += [(x + shift, steps + (step,)) for shift, step in choices[hat]]
         frontier = grown
-    frontier.sort(key=lambda leaf: leaf.pair)
-    return PairLineage(root=root, root_level=l, target_level=k, leaves=frontier)
+    frontier.sort(key=itemgetter(0))
+    leaves = [LineageLeaf((x, x + g), steps) for x, steps in frontier]
+    return PairLineage(root=root, root_level=l, target_level=k, leaves=leaves)
 
 
 def find_root_pair(l: int, g: int, budget: int = SIEVE_BUDGET) -> tuple[int, int] | None:
@@ -302,8 +312,10 @@ def find_root_pair(l: int, g: int, budget: int = SIEVE_BUDGET) -> tuple[int, int
     or the whole window if shorter, segment by segment, and stops at the
     first segment holding the gap, so a pair near the start of a window
     too wide to sieve whole is still found.  When that prefix holds no
-    pair and the window runs on, the search is refused.
+    pair and the window runs on, the search is refused; so is a gap that
+    is not even and >= 2, before anything is sieved.
     """
+    require_gap(g)
     end = WheelWindow(l).hi
     hi = min(4 + budget, end)
     pair = first_pair_with_gap(segment_gaps(prospective_segments(l, None, hi, budget)), g)

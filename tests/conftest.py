@@ -1,6 +1,8 @@
 """Shared brute-force oracles, kept deliberately independent of the
 library's sieving/enumeration paths."""
 
+from math import gcd
+
 import pytest
 
 from polignac.arith import nth_prime, primorial
@@ -36,6 +38,31 @@ def mhat_by_alpha_search(p_tilde, k_next):
         if numerator % step == 0 and 0 <= numerator // step <= p - 1:
             return numerator // step, alpha
     raise AssertionError("no disallowed index found")
+
+
+def oracle_lineage(root, l, k):
+    """Leaves of the gap-g lineage of root = (a, a + g) from level l to k,
+    increasing, as (pair, steps) with one (level, m, disallowed) per level
+    entered.  The leaves are the x = a (mod P_l#) of the level-k window
+    with x and x + g coprime to P_{l+1}..P_k; the m are the mixed-radix
+    digits of (x - a) / P_l#, and each step's disallowed pair is the
+    alpha-search index of the ancestor x_j and of x_j + g."""
+    a, b = root
+    g = b - a
+    cofactor = primorial(k) // primorial(l)
+    leaves = []
+    for t in range(cofactor):
+        x = a + t * primorial(l)
+        if gcd(x * (x + g), cofactor) != 1:
+            continue
+        steps, digits = [], t
+        for j in range(l, k):
+            ancestor = 5 + (x - 5) % primorial(j)
+            digits, m = divmod(digits, nth_prime(j + 1))
+            disallowed = tuple(mhat_by_alpha_search(q, j + 1)[0] for q in (ancestor, ancestor + g))
+            steps.append((j + 1, m, disallowed))
+        leaves.append(((x, x + g), tuple(steps)))
+    return leaves
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from polignac import arith
+from polignac import arith, census
 from polignac.arith import nth_prime, primorial
 from polignac.census import (
     PropagationCase,
@@ -23,7 +23,7 @@ from polignac.census import (
     table1,
 )
 from polignac.wheel import is_prospective, mhat, subset_of
-from conftest import oracle_prospective
+from conftest import oracle_lineage, oracle_prospective
 
 FIXTURE = Path(__file__).parent / "data" / "table1.json"
 
@@ -105,6 +105,15 @@ def test_derive_pairs_cap():
         derive_pairs((5, 7), 2, 7)
 
 
+@pytest.mark.parametrize("l, k", [(3, 2), (3, 3), (1, 3)])
+def test_derive_pairs_refuses_k_not_above_l(l, k):
+    # (11, 13) lies outside the level-2 window [5, 10], a span of zero
+    # levels is no lineage, and no wheel stops below level 2: each is
+    # refused as predicted_derived_count refuses it.
+    with pytest.raises(ValueError, match=rf"^need k > l >= 2, got l={l}, k={k}$"):
+        derive_pairs((11, 13), l, k)
+
+
 def test_derive_pairs_rejects_non_consecutive_root():
     with pytest.raises(ValueError):
         derive_pairs((113, 127), 4, 5)  # 121 lies between
@@ -146,6 +155,17 @@ def test_find_root_pair_is_least(monkeypatch, l, segment):
         assert find_root_pair(l, g) == first.get(g), g
 
 
+@pytest.mark.parametrize("g", [3, 0, -2])
+def test_find_root_pair_refuses_bad_gap_before_sieving(monkeypatch, g):
+    def no_sieve(*args):
+        raise AssertionError("sieved for a gap that cannot occur")
+
+    monkeypatch.setattr(census, "prospective_segments", no_sieve)
+    for l in (3, 10):
+        with pytest.raises(ValueError, match=rf"^gap must be even and >= 2, got {g}$"):
+            find_root_pair(l, g)
+
+
 def test_find_root_pair_budget_is_exact():
     # A prefix of budget integers is [5, 4 + budget]: the pair is found
     # once its upper member is inside, and refused one integer short.
@@ -182,6 +202,46 @@ def test_lineage_leaves_are_consecutive_pairs():
             assert is_prospective(a, 5) and is_prospective(b, 5)
             assert b - a == g
             assert not any(is_prospective(n, 5) for n in range(a + 1, b))
+
+
+def oracle_lineage_cases(max_leaves=2000):
+    """(root, l, k): the least gap-g pair of level l = 2..5 for each g
+    that occurs, up to three levels on while the tree stays small."""
+    for l in range(2, 6):
+        first = least_pairs(l)
+        for g in (2, 4, 6, 8, 10, 12, 30):
+            if g not in first:
+                continue
+            leaves = 1
+            for k in range(l + 1, l + 4):
+                p = nth_prime(k)
+                leaves *= p - 1 if g % p == 0 else p - 2
+                if leaves > max_leaves:
+                    break
+                yield first[g], l, k
+
+
+def lineage_as_tuples(lineage):
+    return [
+        (leaf.pair, tuple((s.level, s.chosen_m, s.disallowed) for s in leaf.steps))
+        for leaf in lineage.leaves
+    ]
+
+
+@pytest.mark.parametrize("root, l, k", list(oracle_lineage_cases()), ids=str)
+def test_lineage_matches_brute_force_oracle(root, l, k):
+    lineage = derive_pairs(root, l, k)
+    assert (lineage.root, lineage.root_level, lineage.target_level) == (root, l, k)
+    assert lineage_as_tuples(lineage) == oracle_lineage(root, l, k)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("l, k", [(3, 7), (4, 8)])
+def test_wide_lineage_matches_brute_force_oracle(l, k):
+    # 7 425 and 25 245 leaves: the full cap of 4 levels.
+    lineage = derive_pairs((11, 13), l, k)
+    assert len(lineage.leaves) == predicted_derived_count(l, k, 2)
+    assert lineage_as_tuples(lineage) == oracle_lineage((11, 13), l, k)
 
 
 def test_lineage_steps_avoid_disallowed():

@@ -273,6 +273,20 @@ def test_lineage_without_root_is_an_error(capsys):
     assert out == "" and err == "error: no gap-8 pair at level 2\n"
 
 
+@pytest.mark.parametrize("gap", ["3", "0", "-2"])
+@pytest.mark.parametrize("r, k", [("3", "5"), ("10", "11")])
+def test_lineage_refuses_bad_gap_before_sieving(capsys, monkeypatch, r, k, gap):
+    # No gap but an even one >= 2 occurs, so the root search is refused
+    # before it sieves: at level 10 it would strike 2^28 integers first.
+    def no_sieve(*args):
+        raise AssertionError("sieved for a gap that cannot occur")
+
+    monkeypatch.setattr(cli.census_mod, "prospective_segments", no_sieve)
+    code, out, err = run(capsys, "lineage", "-r", r, "-k", k, "-g", gap)
+    assert code == 1 and out == ""
+    assert err == f"error: gap must be even and >= 2, got {gap}\n"
+
+
 def test_lineage_root_in_window_past_budget(capsys):
     # The level-10 window spans 6.5e9 integers, past the default budget,
     # but its least twin pair, (41, 43), sits a few values in.

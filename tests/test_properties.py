@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from polignac import arith
 from polignac.arith import primorial
-from polignac.census import gap_census
+from polignac.census import derive_pairs, find_root_pair, gap_census, predicted_derived_count
 from polignac.cli import main
 from polignac.codec import decode, encode, is_admissible
 from polignac.primepairs import bound_report
@@ -142,3 +142,29 @@ def test_bounds_json_round_trip(case):
     assert int(payload["observed"]) == report.observed
     assert int(payload["n_root"]) == report.n_root
     assert payload["holds"] is report.holds
+
+
+# Level 2 holds one pair, the twin (5, 7); level 3 has gaps 2, 4 and 6.
+LINEAGE_CASES = [
+    (r, k, g) for r in (2, 3, 4) for k in (r + 1, r + 2) for g in (2, 4, 6) if r > 2 or g == 2
+]
+
+
+@pytest.mark.parametrize("r, k, g", LINEAGE_CASES)
+def test_lineage_json_round_trip(r, k, g):
+    code, payload = cli_json("lineage", "-r", r, "-k", k, "-g", g)
+    root = find_root_pair(r, g)
+    lineage = derive_pairs(root, r, k)
+    assert code == 0
+    assert (tuple(payload["root"]), payload["root_level"], payload["target_level"]) == (
+        root, r, k
+    )
+    assert payload["gap"] == g
+    assert int(payload["predicted"]) == predicted_derived_count(r, k, g)
+    assert [
+        (tuple(leaf["pair"]), [(s["level"], s["m"], tuple(s["disallowed"])) for s in leaf["steps"]])
+        for leaf in payload["leaves"]
+    ] == [
+        (leaf.pair, [(s.level, s.chosen_m, s.disallowed) for s in leaf.steps])
+        for leaf in lineage.leaves
+    ]
