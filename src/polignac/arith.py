@@ -8,10 +8,15 @@ growth from bad arguments.
 
 All sieving goes through one kernel, ``_strike``, which clears every
 p-th flag of a mask from each prime's first index on, and one driver,
-``strike_segments``, which cuts a range into ``SEGMENT_SIZE`` segments,
-gives the kernel one flag per odd integer of each, and yields the
-survivors as int64 offsets from the segment's start, a Python int, so
-segments past 2^63 stay exact.  Its callers strike odd primes only:
+``strike_segments``, which cuts a range into segments, gives the kernel
+one flag per odd integer of each, and yields the survivors as int64
+offsets from the segment's start, a Python int, so segments past 2^63
+stay exact.  A pass's first segment spans ``FIRST_SEGMENT`` integers
+and each later one doubles, up to ``SEGMENT_SIZE``, so a search that
+stops a few values in strikes one small segment.  A prime at least as
+large as a segment's flag count hits it at most once, so the kernel
+strikes all such primes with one scatter and loops over the smaller
+ones only.  Its callers strike odd primes only:
 the wheel's P_2..P_k (every wheel holds 2), and in ``prime_segments``
 the odd base primes up to sqrt(hi).  ``sieve_primes`` consumes prime
 segments, and ``nth_prime`` and ``primorial`` read a list of primes
@@ -35,6 +40,7 @@ x ~ 1.7e11.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -55,6 +61,10 @@ SIEVE_BUDGET = 1 << 28
 # Values per sieve segment; keeps the working mask cache-resident.
 SEGMENT_SIZE = 1 << 22
 
+# Values in a sieve pass's first segment; each later segment doubles, up
+# to SEGMENT_SIZE.
+FIRST_SEGMENT = 1 << 12
+
 # Strong-probable-prime bases: the first 13 primes.  Sorenson & Webster
 # (2015) show they decide primality exactly below psi_13 (~3.3e24); the
 # first 12 alone are exact only below psi_12 = 318665857834031151167461.
@@ -65,49 +75,67 @@ _MR_LIMIT = 3317044064679887385961981  # psi_13
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _strike(size: int, primes: Iterable[int], firsts: Iterable[int]) -> np.ndarray:
+def _strike(size: int, primes: list[int], firsts: np.ndarray) -> np.ndarray:
     """Mask of size flags: False at first, first + p, first + 2p, ...
-    for each prime p and its first index."""
+    for each prime p, in increasing order, and its first index.
+
+    A prime p >= size hits the mask at most once, at its first index if
+    that is below size, so those primes are struck by one scatter; only
+    the primes below size take a slice each."""
     flags = np.ones(size, dtype=bool)
-    for p, first in zip(primes, firsts):
+    small = bisect.bisect_left(primes, size)
+    for p, first in zip(primes, firsts[:small].tolist()):
         flags[first::p] = False
+    large = firsts[small:]
+    flags[large[large < size]] = False
     return flags
 
 
 def strike_segments(
     lo: int, hi: int, primes: list[int], budget: int = SIEVE_BUDGET
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Odd values in [lo, hi] divisible by none of the odd primes, in
-    increasing order, as one (start, offsets) pair per SEGMENT_SIZE
-    integers: the survivors are start + offsets, with start a Python int
-    and offsets an int64 array, so segments past 2^63 stay exact.
+    """Odd values in [lo, hi] divisible by none of the odd primes (given
+    in increasing order), in increasing order, as one (start, offsets)
+    pair per segment: the survivors are start + offsets, with start a
+    Python int and offsets an int64 array, so segments past 2^63 stay
+    exact.
 
-    Flag i of a segment's mask stands for the odd value start + 2i, so
-    a mask holds half as many flags as the segment spans integers.  A
-    range of more than budget integers is refused before the first
-    segment is struck.  The generator keeps no reference to a yielded
-    array, so a consumer that drops it frees the segment before the
-    next one is struck.
+    The first segment spans FIRST_SEGMENT integers (at most
+    SEGMENT_SIZE) and each later one twice its predecessor, up to
+    SEGMENT_SIZE, so a consumer that stops a few values in has struck
+    little.  Flag i of a segment's mask stands for the odd value
+    start + 2i, so a mask holds half as many flags as the segment spans
+    integers.  A range of more than budget integers is refused before
+    the first segment is struck.  The generator keeps no reference to a
+    yielded array, so a consumer that drops it frees the segment before
+    the next one is struck.
     """
     if hi - lo + 1 > budget:
         raise ValueError(f"sieving {lo}:{hi} exceeds the sieve budget of {budget} integers")
     first = lo | 1
     count = (hi - first) // 2 + 1  # odd values in [lo, hi]
-    half = SEGMENT_SIZE // 2
     # p is first struck at the index i solving first + 2i = 0 (mod p):
-    # i = -first / 2 = -first * (p + 1) / 2 (mod p).  Each segment
-    # starts half flags on, so its indices are the last ones less half.
+    # i = -first / 2 = -first * (p + 1) / 2 (mod p).  first may pass
+    # 2^63, so first mod p is taken 31 bits at a time, high bits first;
+    # with p < 2^32 (base primes of an int64 range, or a wheel's) no
+    # product passes 2^63.  Each segment starts size flags on, so its
+    # indices are the last ones less size.
     modulus = np.array(primes, dtype=np.int64)
-    firsts = np.array(
-        [(-first % p) * ((p + 1) // 2) % p for p in primes], dtype=np.int64
-    )
-    for done in range(0, count, half):
-        offsets = np.flatnonzero(_strike(min(half, count - done), primes, firsts.tolist()))
+    firsts = np.zeros_like(modulus)
+    for shift in range(first.bit_length() // 31 * 31, -1, -31):
+        firsts = (firsts << 31 | (first >> shift) & 0x7FFFFFFF) % modulus
+    firsts = (modulus - firsts) * ((modulus + 1) // 2) % modulus
+    done, size = 0, min(FIRST_SEGMENT, SEGMENT_SIZE) // 2
+    while done < count:
+        size = min(size, count - done)
+        offsets = np.flatnonzero(_strike(size, primes, firsts))
         offsets *= 2
         yield first + 2 * done, offsets
         del offsets  # free this segment before the next one is struck
-        firsts -= half
+        done += size
+        firsts -= size
         firsts %= modulus
+        size = min(2 * size, SEGMENT_SIZE // 2)
 
 
 def prime_segments(

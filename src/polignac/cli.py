@@ -19,7 +19,9 @@ out of range, ``lineage`` with no root pair included, prints
 The one global flag, ``--budget N``, sets the sieve budget: the most
 integers one sieve pass of gen, census, lineage, bounds or find-pair may
 cover, ``arith.SIEVE_BUDGET`` by default; a budget below 1 is refused.
-It is the only setting: nothing is read from the environment, and the
+``lineage`` and ``find-pair`` search the first N integers of their
+range for a pair, and are refused only when that prefix holds none and
+the range runs on past it.  It is the only setting: nothing is read from the environment, and the
 lineage cap is the constant ``census.LINEAGE_CAP``.  Exact quantities
 appear in JSON output as decimal strings, never floats.
 """

@@ -12,7 +12,8 @@ Both sieve-bound computations read the gaps between consecutive primes
 from ``arith.segment_gaps`` over the odd-only prime segments of
 ``arith.prime_segments``, for just the range they need, so pairs
 straddling a segment edge are seen: pair counts add up ``gaps == g`` per
-chunk, and the pair search stops at the first chunk holding a hit.
+chunk, and the pair search reads at most the first budget integers
+above M and stops at the first chunk holding a hit.
 k = pi(sqrt(P_l#)) comes from ``arith.prime_count_pi``, which sieves
 nothing, so only the pair count of ``bound_report`` is held to a sieve
 budget.
@@ -170,11 +171,24 @@ def find_pair_above(
 ) -> tuple[int, int] | None:
     """Least consecutive-prime pair with difference g whose lower member
     exceeds m, or None if none turns up below search_limit, which must
-    exceed m."""
+    exceed m.
+
+    One pass streams the first budget integers above m, (m, m + budget]
+    or (m, search_limit] if shorter, and stops at the first segment
+    holding the gap.  When that prefix holds no pair and the limit lies
+    beyond it, the search is refused.
+    """
     require_gap(g)
     if search_limit <= m:
         raise ValueError(f"search limit {search_limit} must exceed {m}")
-    return first_pair_with_gap(_prime_gaps(m + 1, search_limit, budget), g)
+    hi = min(search_limit, m + budget)
+    pair = first_pair_with_gap(_prime_gaps(m + 1, hi, budget), g)
+    if pair is None and hi < search_limit:
+        raise ValueError(
+            f"no gap-{g} pair among the first {budget} integers above {m}; "
+            f"searching on to {search_limit} exceeds the sieve budget"
+        )
+    return pair
 
 
 @dataclass

@@ -9,9 +9,10 @@ level to the next by adding m * P_k#, with exactly one residue m
 
 Prospective primes are found by the one sieve driver,
 ``arith.strike_segments``: every wheel holds 2, so it masks only the
-odd integers of each ``arith.SEGMENT_SIZE`` segment of the window and
-strikes P_2..P_k from them, and ``prospective_segments`` yields the
-survivors as one (start, offsets) pair per segment.  Array consumers
+odd integers of each segment of the window, segments that grow from
+``arith.FIRST_SEGMENT`` to ``arith.SEGMENT_SIZE`` integers, and strikes
+P_2..P_k from them, and ``prospective_segments`` yields the survivors
+as one (start, offsets) pair per segment.  Array consumers
 (the gap census, through ``arith.segment_gaps``) read the offsets
 directly; ``enumerate_prospective`` adds the start back value by value,
 as Python ints, so windows past 2^63 work.

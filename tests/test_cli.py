@@ -308,6 +308,25 @@ def test_lineage_root_search_meets_budget(capsys):
     assert code == 1 and out == "" and "sieve budget" in err
 
 
+def test_find_pair_budget_is_a_prefix(capsys):
+    # find-pair searches (M, min(limit, M + budget)]: the answer does not
+    # depend on whether the pair lies among the base primes.
+    for above, pair in (("10", "(11, 13)\n"), ("50", "(59, 61)\n")):
+        code, out, err = run(
+            capsys, "--budget", "1000", "find-pair", "-g", "2", "-M", above, "--limit", "2000"
+        )
+        assert (code, out, err) == (0, pair, "")
+    # (59, 61) ends 11 integers above 50: a budget of 10 stops short.
+    code, out, _ = run(capsys, "--budget", "11", "find-pair", "-g", "2", "-M", "50", "--limit", "2000")
+    assert (code, out) == (0, "(59, 61)\n")
+    code, out, err = run(capsys, "--budget", "10", "find-pair", "-g", "2", "-M", "50", "--limit", "2000")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: no gap-2 pair among the first 10 integers above 50; "
+        "searching on to 2000 exceeds the sieve budget\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_bounds_past_int_str_digit_limit(capsys, monkeypatch, fmt):
     # The level-10 bound's exact numerator has 7 746 digits, past the

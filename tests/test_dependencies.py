@@ -1,7 +1,10 @@
-"""The package imports only the standard library and numpy, and reads
-no environment variable: the sieve budget is set by ``--budget`` alone."""
+"""The package imports only the standard library and numpy, reads no
+environment variable (the sieve budget is set by ``--budget`` alone),
+and computes nothing at import."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,3 +43,19 @@ def test_no_environment_reads(module):
             )
         if isinstance(node, ast.ImportFrom) and node.module == "os":
             assert not {a.name for a in node.names} & ENVIRONMENT_READS, module.name
+
+
+def test_import_sieves_nothing():
+    # A fresh interpreter: this process's prime table is already full.
+    # Every process that imports polignac pays for what runs at import.
+    probe = (
+        "import polignac, polignac.cli\n"
+        "from polignac import arith\n"
+        "print(len(arith._PRIMES), len(arith._PRIMORIALS))"
+    )
+    src = str(Path(polignac.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.split() == ["0", "0"]

@@ -1,11 +1,14 @@
 """Segment-edge behaviour of the one sieve kernel.
 
-The segment size, ``arith.SEGMENT_SIZE``, is shrunk to 64 values so
-that small ranges cross many segment edges; every expected value comes
-from the brute-force oracles in conftest, never from the code under
-test."""
+The segment size, ``arith.SEGMENT_SIZE``, is mostly shrunk to 64 values
+so that small ranges cross many segment edges; the edges where segments
+grow are checked at the real size too.  Every expected value comes from
+the brute-force oracles in conftest, or trial division, never from the
+code under test."""
 
 import bisect
+import functools
+import math
 import time
 import tracemalloc
 from collections import Counter
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from polignac import arith, wheel
 from polignac.arith import nth_prime, prime_count_pi, primorial
-from polignac.census import gap_census
+from polignac.census import find_root_pair, gap_census
 from polignac.cli import main
 from polignac.primepairs import actual_pair_count, find_pair_above
 from conftest import oracle_primes, oracle_prospective
@@ -286,3 +289,148 @@ def test_find_pair_above_refused_through_base_pass():
     assert find_pair_above(2, m, m + 100, budget=9900) == twin
     with pytest.raises(ValueError, match="sieve budget"):
         find_pair_above(2, m, m + 100, budget=9899)
+
+
+# A search strikes only what it reads: a pass's first segment spans 2^12
+# integers and each later one doubles, so a pair a few values in costs
+# one small segment, not a whole SEGMENT_SIZE one.  The flags of every
+# pass are counted, the base primes' included.
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: find_root_pair(10, 2),
+        lambda: find_pair_above(4, 89108550, 99056789),
+    ],
+    ids=["find_root_pair", "find_pair_above"],
+)
+def test_search_strikes_what_it_reads(monkeypatch, search):
+    struck = []
+    strike = arith._strike
+
+    def counting(size, *args):
+        struck.append(size)
+        return strike(size, *args)
+
+    search()  # fill the prime table outside the counted run
+    monkeypatch.setattr(arith, "_strike", counting)
+    search()
+    assert 0 < sum(struck) <= 2 * 2**12, struck
+
+
+def test_find_pair_above_budget_is_a_prefix():
+    # The search covers (M, min(limit, M + budget)]: a pair is found once
+    # its upper member is inside, and refused one integer short, since
+    # the limit lies beyond.  Where the pair lies, among the base primes
+    # or in the range pass, does not matter.
+    # m stays small so that the base primes' pass, to sqrt(m + budget),
+    # fits the budget too.
+    for g in (2, 4, 6, 8):
+        for m in (0, 3, 10, 50, 90, 200):
+            q, r = oracle_pairs(g, m, m + 5001)[0]
+            assert find_pair_above(g, m, m + 5000, budget=r - m) == (q, r), (g, m)
+            with pytest.raises(ValueError, match=f"above {m}; searching on to {m + 5000} "):
+                find_pair_above(g, m, m + 5000, budget=r - m - 1)
+    # A prefix reaching the limit answers None when it holds no pair.
+    assert find_pair_above(2, 100, 102, budget=10**6) is None
+
+
+# Segment edges while segments grow.  A pass's first segment spans 2^12
+# integers and each later one doubles, up to SEGMENT_SIZE, so its
+# segments end 2^12, 3 * 2^12, 7 * 2^12, ... integers past its first
+# value, and every SEGMENT_SIZE integers once growth stops at the cap.
+# Ranges end one odd value short of an edge, on it, and one past it; a
+# pair search's first pair straddles an edge or ends just before it.
+def growth_edges(segment, span):
+    size, edge, edges = min(2**12, segment), 0, []
+    while edge + size <= span:
+        edge += size
+        edges.append(edge)
+        size = min(2 * size, segment)
+    return edges
+
+
+EDGE_CASES = [  # (SEGMENT_SIZE, integers spanned by the edges checked)
+    (2**22, 2**19),  # the first 7 growth edges
+    (2**13, 2**17),  # growth stops after one doubling
+    (2**15, 2**17),  # ... after three
+    pytest.param(2**22, 2**23, marks=pytest.mark.slow),  # all 10 growth edges, one cap edge
+]
+CENSUS_LO = 1001  # odd, so the census pass starts at it
+
+
+@functools.lru_cache(maxsize=None)
+def edge_primes(span):
+    return oracle_primes(2 * span + 10**5)
+
+
+@functools.lru_cache(maxsize=None)
+def edge_members(span):
+    return oracle_prospective(8, CENSUS_LO, CENSUS_LO + span + 2)
+
+
+@pytest.mark.parametrize("segment, span", EDGE_CASES)
+def test_gap_census_on_growth_edges(monkeypatch, segment, span):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    members = edge_members(span)
+    gaps = [b - a for a, b in zip(members, members[1:])]
+    for edge in growth_edges(segment, span):
+        for hi in (CENSUS_LO + edge - 3, CENSUS_LO + edge - 1, CENSUS_LO + edge + 1):
+            n = bisect.bisect_right(members, hi)
+            want = dict(Counter(gaps[: n - 1]))
+            assert gap_census(8, lo=CENSUS_LO, hi=hi).entries == want, (edge, hi)
+
+
+@pytest.mark.parametrize("segment, span", EDGE_CASES)
+def test_actual_pair_count_on_growth_edges(monkeypatch, segment, span):
+    # The range pass of (lo, hi) starts at lo + 1, past sqrt(hi).
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    primes = edge_primes(span)
+    lo = span // 2 + 1000
+    start = lo + 1
+    for edge in growth_edges(segment, span):
+        for last in (start + edge - 3, start + edge - 1, start + edge + 1):
+            a, b = bisect.bisect_right(primes, lo), bisect.bisect_left(primes, last + 1)
+            inside = primes[a:b]
+            gaps = Counter(r - q for q, r in zip(inside, inside[1:]))
+            for g in (2, 4, 6):
+                assert actual_pair_count(g, lo, last + 1) == gaps[g], (edge, last, g)
+
+
+@pytest.mark.parametrize("segment, span", EDGE_CASES)
+def test_find_pair_above_first_pair_on_growth_edges(monkeypatch, segment, span):
+    # For each edge, the first gap-g pair (q, q + g) whose gap recurs no
+    # closer than the edge: the search from m = q + 1 - edge starts at
+    # q + 2 - edge, so q ends one segment and q + g opens the next; from
+    # m = q + g + 1 - edge the pair ends the segment.
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    primes = edge_primes(span)
+    limit = primes[-1]
+    for edge in growth_edges(segment, span):
+        last = {}
+        for q, r in zip(primes, primes[1:]):
+            g = r - q
+            if q - edge > math.isqrt(limit) and q - last.get(g, -limit) >= edge + g:
+                break
+            last[g] = q
+        else:
+            raise AssertionError(f"no pair isolated by {edge} below {limit}")
+        for m in (q + 1 - edge, q + g + 1 - edge):
+            assert find_pair_above(g, m, limit) == (q, r), (edge, g, m)
+
+
+@functools.lru_cache(maxsize=None)
+def trial_division_primes(lo, hi):
+    return [n for n in range(max(lo, 2), hi + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+# A range of 3001 integers is one segment of 1500 flags, or 94 of 32 at
+# SEGMENT_SIZE 64.  Its base primes run to 3162 past 10^7 and to 31622
+# past 10^9, so many, and most, are at or above a segment's flag count:
+# they hit a segment at most once and are struck by the one scatter.
+@pytest.mark.parametrize("segment", [None, SEG])
+@pytest.mark.parametrize("lo, hi", [(10**7, 10**7 + 3000), (10**9, 10**9 + 3000)])
+def test_prime_segments_one_hit_scatter(monkeypatch, segment, lo, hi):
+    if segment:
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    got = [int(p) for part in arith.prime_segments(lo, hi) for p in part]
+    assert got == trial_division_primes(lo, hi)
