@@ -13,15 +13,16 @@ one flag per odd integer of each, and yields the survivors as int64
 offsets from the segment's start, a Python int, so segments past 2^63
 stay exact.  A pass's first segment spans ``FIRST_SEGMENT`` integers
 and each later one doubles, up to ``SEGMENT_SIZE``, so a search that
-stops a few values in strikes one small segment.  A prime at least as
-large as a segment's flag count hits it at most once, so the kernel
-strikes all such primes with one scatter and loops over the smaller
-ones only.  Its callers strike odd primes only:
-the wheel's P_2..P_k (every wheel holds 2), and in ``prime_segments``
-the odd base primes up to sqrt(hi).  ``sieve_primes`` consumes prime
-segments, and ``nth_prime`` and ``primorial`` read a list of primes
+stops a few values in strikes one small segment; a full segment's mask
+fits in half of a 2 MiB L2.  A prime at least as large as a segment's
+flag count hits it at most once, so the kernel strikes all such primes
+with one scatter and loops over the smaller ones only.  Its callers
+strike odd primes only, as int64 arrays: the wheel's P_2..P_k (every
+wheel holds 2), and in ``prime_segments`` a copy of the odd base primes
+up to sqrt(hi).  ``sieve_primes`` consumes prime segments, and ``nth_prime`` and ``primorial`` read a list of primes
 that ``sieve_primes`` fills.  ``prime_count_pi`` sieves nothing: it runs
-Lucy's recursion over the values x // i.
+Lucy's recursion over the values x // i, one update per prime up to
+icbrt(x) and one vectorised step for all the primes above it.
 
 ``segment_gaps`` turns a stream of segments into the gaps between
 consecutive values, carried across segment edges; the gap censuses,
@@ -40,7 +41,6 @@ x ~ 1.7e11.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -58,8 +58,10 @@ MAX_PRIMORIAL_INDEX = 25
 # 41 MB peak RSS.
 SIEVE_BUDGET = 1 << 28
 
-# Values per sieve segment; keeps the working mask cache-resident.
-SEGMENT_SIZE = 1 << 22
+# Integers per sieve segment.  A full segment's odd-only mask holds 2^20
+# one-byte flags, 1 MiB, half of a 2 MiB L2, so the mask a segment's
+# primes stride over stays cache-resident.
+SEGMENT_SIZE = 1 << 21
 
 # Values in a sieve pass's first segment; each later segment doubles, up
 # to SEGMENT_SIZE.
@@ -75,7 +77,7 @@ _MR_LIMIT = 3317044064679887385961981  # psi_13
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _strike(size: int, primes: list[int], firsts: np.ndarray) -> np.ndarray:
+def _strike(size: int, primes: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     """Mask of size flags: False at first, first + p, first + 2p, ...
     for each prime p, in increasing order, and its first index.
 
@@ -83,8 +85,8 @@ def _strike(size: int, primes: list[int], firsts: np.ndarray) -> np.ndarray:
     that is below size, so those primes are struck by one scatter; only
     the primes below size take a slice each."""
     flags = np.ones(size, dtype=bool)
-    small = bisect.bisect_left(primes, size)
-    for p, first in zip(primes, firsts[:small].tolist()):
+    small = int(np.searchsorted(primes, size))
+    for p, first in zip(primes[:small].tolist(), firsts[:small].tolist()):
         flags[first::p] = False
     large = firsts[small:]
     flags[large[large < size]] = False
@@ -92,13 +94,13 @@ def _strike(size: int, primes: list[int], firsts: np.ndarray) -> np.ndarray:
 
 
 def strike_segments(
-    lo: int, hi: int, primes: list[int], budget: int = SIEVE_BUDGET
+    lo: int, hi: int, primes: np.ndarray, budget: int = SIEVE_BUDGET
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Odd values in [lo, hi] divisible by none of the odd primes (given
-    in increasing order), in increasing order, as one (start, offsets)
-    pair per segment: the survivors are start + offsets, with start a
-    Python int and offsets an int64 array, so segments past 2^63 stay
-    exact.
+    """Odd values in [lo, hi] divisible by none of the odd primes (an
+    int64 array in increasing order, which the driver only reads), in
+    increasing order, as one (start, offsets) pair per segment: the
+    survivors are start + offsets, with start a Python int and offsets
+    an int64 array, so segments past 2^63 stay exact.
 
     The first segment spans FIRST_SEGMENT integers (at most
     SEGMENT_SIZE) and each later one twice its predecessor, up to
@@ -120,11 +122,10 @@ def strike_segments(
     # with p < 2^32 (base primes of an int64 range, or a wheel's) no
     # product passes 2^63.  Each segment starts size flags on, so its
     # indices are the last ones less size.
-    modulus = np.array(primes, dtype=np.int64)
-    firsts = np.zeros_like(modulus)
+    firsts = np.zeros_like(primes)
     for shift in range(first.bit_length() // 31 * 31, -1, -31):
-        firsts = (firsts << 31 | (first >> shift) & 0x7FFFFFFF) % modulus
-    firsts = (modulus - firsts) * ((modulus + 1) // 2) % modulus
+        firsts = (firsts << 31 | (first >> shift) & 0x7FFFFFFF) % primes
+    firsts = (primes - firsts) * ((primes + 1) // 2) % primes
     done, size = 0, min(FIRST_SEGMENT, SEGMENT_SIZE) // 2
     while done < count:
         size = min(size, count - done)
@@ -134,7 +135,7 @@ def strike_segments(
         del offsets  # free this segment before the next one is struck
         done += size
         firsts -= size
-        firsts %= modulus
+        firsts %= primes
         size = min(2 * size, SEGMENT_SIZE // 2)
 
 
@@ -157,9 +158,9 @@ def prime_segments(
         raise ValueError(f"prime segments hold int64 values, got hi={hi}")
     root = math.isqrt(hi)
     base = sieve_primes(root, budget)
-    # Read the odd base primes before base is handed out: a consumer
+    # Copy the odd base primes before base is handed out: a consumer
     # may overwrite the array it is given.
-    odd = base[1:].tolist()
+    odd = base[1:].copy()
     if lo <= root:
         yield base[np.searchsorted(base, lo) :]
     lo = max(lo, root + 1)
@@ -295,9 +296,18 @@ def prime_count_pi(x: int, budget: int = SIEVE_BUDGET) -> int:
     p <= sqrt(x) is struck, S(x) = pi(x).  The recursion only ever reads
     the values v = x // i, which number about 2 r, r = isqrt(x): they
     are held as two int64 arrays, small[v] = S(v) for v <= r and
-    large[i - 1] = S(x // i) for i <= r, and each prime is one
-    vectorised update of both.  The work, about r^(3/2), is held to
-    budget as r * isqrt(r) before any array is allocated.
+    large[i - 1] = S(x // i) for i <= r.
+
+    Each prime p <= c = icbrt(x) is one vectorised update of both.  The
+    primes in (c, r] are then struck in one step, as in the
+    Meissel-Lehmer split (Lagarias, Miller & Odlyzko, 1985): such a p
+    has p^3 > x, so it writes only large[i - 1] for i <= x // p^2 <= c,
+    and reads only S(x // (i p)) with x // (i p) < (c + 1)^2 <= p^2,
+    from large at i p > c: values that no prime above c changes.  The
+    step's pairs (i, p) are summed exactly in int64, in runs of
+    consecutive i of at most r pairs, so memory stays O(r).  The work,
+    about r^(3/2), is held to budget as r * isqrt(r) before any array
+    is allocated.
     """
     if x < 0:
         raise ValueError(f"pi(x) needs x >= 0, got {x}")
@@ -309,9 +319,12 @@ def prime_count_pi(x: int, budget: int = SIEVE_BUDGET) -> int:
         raise ValueError(f"pi({x}) costs {work} units, past the sieve budget of {budget}")
     if x < 2:
         return 0
+    c = round(x ** (1 / 3))
+    c -= c**3 > x
+    c += (c + 1) ** 3 <= x
     small = np.arange(-1, r, dtype=np.int64)
     large = x // np.arange(1, r + 1, dtype=np.int64) - 1
-    for p in range(2, r + 1):
+    for p in range(2, c + 1):
         if small[p] == small[p - 1]:
             continue  # p was struck: not a prime
         below = small[p - 1]
@@ -323,6 +336,30 @@ def prime_count_pi(x: int, budget: int = SIEVE_BUDGET) -> int:
         large[inner:count] -= small[(x // p) // np.arange(inner + 1, count + 1)] - below
         if p * p <= r:
             small[p * p :] -= small[np.arange(p * p, r + 1) // p] - below
+    # small is final now: the primes in (c, r] are where it steps, and
+    # S(p - 1) = S(c) + j for the j-th of them.  Entry i - 1 of large
+    # loses S(x // (i p)) - S(p - 1) for each of the first counts[i - 1],
+    # those with p^2 <= x // i.
+    primes = np.flatnonzero(small[c + 1 :] != small[c:-1]) + (c + 1)
+    if not len(primes):
+        return int(large[0])
+    counts = np.searchsorted(primes * primes, x // np.arange(1, x // primes[0] ** 2 + 1), "right")
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        # The pairs (i, j) of i = lo + 1 .. hi, at most r of them; the
+        # pairs of i start at firsts[i - lo - 1].
+        hi = int(np.searchsorted(ends, ends[lo] - counts[lo] + r, "right"))
+        run = counts[lo:hi]
+        firsts = ends[lo:hi] - run - (ends[lo] - counts[lo])
+        j = np.arange(firsts[-1] + run[-1]) - np.repeat(firsts, run)
+        ip = np.repeat(np.arange(lo + 1, hi + 1), run) * primes[j]
+        read = small[x // np.maximum(ip, r + 1)]  # S(x // (i p)) where i p > r
+        inner = ip <= r
+        read[inner] = large[ip[inner] - 1]
+        read -= j + small[c]
+        large[lo:hi] -= np.add.reduceat(read, firsts)
+        lo = hi
     return int(large[0])
 
 

@@ -73,19 +73,27 @@ def theorem3_lower_bound(r: int, l: int, g: int) -> LowerBound:
     Premise (caller-verified via a census): level r actually holds a
     consecutive gap-g pair.
     """
+    _require_root(r, l, g)
+    k = k_for_level(l)
+    return _lower_bound(r, l, g, [nth_prime(j) for j in range(l, k)])
+
+
+def _require_root(r: int, l: int, g: int) -> None:
     if not 2 <= r <= l:
         raise ValueError(f"need l >= r >= 2, got r={r}, l={l}")
     require_gap(g)
+
+
+def _lower_bound(r: int, l: int, g: int, primes: list[int]) -> LowerBound:
+    """The bound from the primes P_l, ..., P_{k-1}."""
     n_l = 1 if l == r else predicted_derived_count(r, l, g)
-    k = k_for_level(l)
     # One factor (p - 4) / (p - 2) per P_l <= p < P_k, times (p - 2) / (p - 1)
     # where p | g: both products are built whole and reduced once.
-    primes = [nth_prime(j) for j in range(l, k)]
     bound = Fraction(
         n_l * math.prod(p - 4 for p in primes),
         math.prod(p - 1 if g % p == 0 else p - 2 for p in primes),
     )
-    return LowerBound(exact=bound, k=k, n_root=n_l)
+    return LowerBound(exact=bound, k=l + len(primes), n_root=n_l)
 
 
 @dataclass
@@ -136,14 +144,24 @@ def _decimal(n: int) -> str:
 
 
 def bound_report(r: int, l: int, g: int, budget: int = SIEVE_BUDGET) -> BoundReport:
+    """The Theorem 3 bound next to the observed count.  The arguments are
+    checked first, then k and the window are found, and the count, which
+    refuses a window past the budget before striking it, runs before the
+    exact bound is built: past l = 10 the bound alone takes seconds to
+    minutes, and a refusal must not wait for it."""
     if l < 3:
         raise ValueError(f"level must be >= 3, got {l}")
-    bound = theorem3_lower_bound(r, l, g)
-    lo = nth_prime(bound.k)
-    hi = nth_prime(bound.k + 1) ** 2
+    _require_root(r, l, g)
+    k = k_for_level(l)
+    # P_l, ..., P_{k+1}, read in increasing order as the bound reads them:
+    # the prime table then grows through the same limits, and past the
+    # budget (from l = 15) is refused with the same message.
+    primes = [nth_prime(j) for j in range(l, k + 2)]
+    lo, hi = primes[-2], primes[-1] ** 2
     observed = actual_pair_count(g, lo, hi, budget=budget)
+    bound = _lower_bound(r, l, g, primes[:-2])
     return BoundReport(
-        r=r, l=l, g=g, k=bound.k, window=(lo, hi),
+        r=r, l=l, g=g, k=k, window=(lo, hi),
         bound=bound.exact, observed=observed, n_root=bound.n_root,
     )
 

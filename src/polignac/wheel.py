@@ -107,7 +107,8 @@ def prospective_segments(
     lo = window.lo if lo is None else max(lo, window.lo)
     hi = window.hi if hi is None else min(hi, window.hi)
     # Every wheel holds 2 (k >= 2), so the odd-only driver strikes P_2..P_k.
-    return strike_segments(lo, hi, [nth_prime(i) for i in range(2, k + 1)], budget)
+    primes = np.array([nth_prime(i) for i in range(2, k + 1)], dtype=np.int64)
+    return strike_segments(lo, hi, primes, budget)
 
 
 def enumerate_prospective(

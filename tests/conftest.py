@@ -1,6 +1,7 @@
 """Shared brute-force oracles, kept deliberately independent of the
 library's sieving/enumeration paths."""
 
+from itertools import compress
 from math import gcd
 
 import pytest
@@ -9,14 +10,14 @@ from polignac.arith import nth_prime, primorial
 
 
 def oracle_primes(limit):
-    """Primes <= limit by the plainest possible sieve."""
-    flags = [True] * (limit + 1)
-    flags[0:2] = [False, False]
+    """Primes <= limit by the plain sieve of Eratosthenes, one flag byte
+    per integer."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\0\0"
     for p in range(2, int(limit**0.5) + 1):
         if flags[p]:
-            for q in range(p * p, limit + 1, p):
-                flags[q] = False
-    return [n for n in range(limit + 1) if flags[n]]
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), flags))
 
 
 def oracle_prospective(k, lo=None, hi=None):

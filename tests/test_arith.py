@@ -1,6 +1,8 @@
 import bisect
 import contextlib
+import math
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from polignac.arith import (
     prime_count_pi,
     primorial,
 )
+from polignac.primepairs import k_for_level
 from conftest import oracle_primes
 
 
@@ -135,6 +138,46 @@ PUBLISHED_PI = [0, 4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455
 def test_pi_published_powers_of_ten():
     for k, count in enumerate(PUBLISHED_PI):
         assert prime_count_pi(10**k) == count, k
+
+
+def test_pi_every_x_below_20000(small_primes):
+    for x in range(2 * 10**4):
+        assert prime_count_pi(x) == bisect.bisect_right(small_primes, x), x
+
+
+@pytest.fixture(scope="module")
+def primes_past_300_cubed():
+    return oracle_primes(300**3 + 1)
+
+
+def test_pi_around_cubes(primes_past_300_cubed):
+    # The primes up to c = icbrt(x) are struck one by one and those above
+    # it in one step: check both sides of every cube.
+    for c in range(1, 301):
+        for x in (c**3 - 1, c**3, c**3 + 1):
+            assert prime_count_pi(x) == bisect.bisect_right(primes_past_300_cubed, x), x
+
+
+def test_k_for_level_against_sieve(primes_past_300_cubed):
+    # pi(isqrt(P_l#)): x = 5, 14, 48, ..., 14936 for l <= 9, and about
+    # 2.7e6 at l = 12.
+    primes = primes_past_300_cubed
+    for l in range(3, 13):
+        x = math.isqrt(math.prod(primes[:l]))
+        assert k_for_level(l) == bisect.bisect_right(primes, x), l
+
+
+def test_pi_memory_linear_in_root():
+    # Lucy's two arrays take 16 r bytes, r = isqrt(x); the step over the
+    # primes above icbrt(x) holds at most r of its pairs at a time, so the
+    # count stays within 128 r bytes, 12.2 MiB at x = 10^10.
+    tracemalloc.start()
+    try:
+        assert prime_count_pi(10**10) == PUBLISHED_PI[10]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 10**5
 
 
 def test_pi_budget():

@@ -8,6 +8,7 @@ from polignac import checks, cli
 from polignac.census import gap_census
 from polignac.cli import main, parse_census_csv
 from polignac.primepairs import BoundReport
+from test_arith import deadline
 
 
 def run(capsys, *argv):
@@ -416,6 +417,21 @@ def test_refusal_contract(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == "" and "error:" in err and "Traceback" not in err
+
+
+# A window past the sieve budget is refused before the exact bound is
+# built: at l = 12 the bound alone takes over a minute.
+@pytest.mark.parametrize("level", [11, 12])
+def test_bounds_past_budget_refused_at_once(capsys, level):
+    with deadline(2.0):
+        code, out, err = run(capsys, "bounds", "-r", "2", "-l", str(level), "-g", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: sieving ")
+    assert err.endswith(" exceeds the sieve budget of 268435456 integers\n")
+    if level == 11:
+        assert err == (
+            "error: sieving 447841:200561561280 exceeds the sieve budget of 268435456 integers\n"
+        )
 
 
 def test_verify_reports_failed_check(capsys, monkeypatch):

@@ -127,10 +127,11 @@ def test_prime_segments_odd_only(monkeypatch, segment, lo):
 
 # A consumer may overwrite the arrays it is given (gap streams take
 # their gaps in place): the base primes handed out first must not be
-# the ones the later segments are struck with.
-@pytest.mark.parametrize("segment", [16, 64])
+# the ones the later segments are struck with, nor share their memory.
+@pytest.mark.parametrize("segment", [16, 64, None])
 def test_prime_segments_survive_consumer_writes(monkeypatch, segment):
-    monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    if segment:
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
     primes = oracle_primes(3000)
     for lo, hi in ((0, 3000), (2, 1000), (30, 2999), (54, 2916)):  # lo <= sqrt(hi)
         got = []
@@ -350,10 +351,14 @@ def growth_edges(segment, span):
 
 
 EDGE_CASES = [  # (SEGMENT_SIZE, integers spanned by the edges checked)
-    (2**22, 2**19),  # the first 7 growth edges
+    (2**21, 2**19),  # the real size: the first 7 growth edges
+    (2**22, 2**19),  # a patched cap of 2^22: the same 7 growth edges
     (2**13, 2**17),  # growth stops after one doubling
     (2**15, 2**17),  # ... after three
-    pytest.param(2**22, 2**23, marks=pytest.mark.slow),  # all 10 growth edges, one cap edge
+    # The real size: all 9 growth edges, one cap edge.
+    pytest.param(2**21, 2**22, marks=pytest.mark.slow),
+    # A patched cap of 2^22: all 10 growth edges, one cap edge.
+    pytest.param(2**22, 2**23, marks=pytest.mark.slow),
 ]
 CENSUS_LO = 1001  # odd, so the census pass starts at it
 
