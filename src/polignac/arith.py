@@ -19,8 +19,9 @@ flag count hits it at most once, so the kernel strikes all such primes
 with one scatter and loops over the smaller ones only.  Its callers
 strike odd primes only, as int64 arrays: the wheel's P_2..P_k (every
 wheel holds 2), and in ``prime_segments`` a copy of the odd base primes
-up to sqrt(hi).  ``sieve_primes`` consumes prime segments, and ``nth_prime`` and ``primorial`` read a list of primes
-that ``sieve_primes`` fills.  ``prime_count_pi`` sieves nothing: it runs
+up to sqrt(hi).  ``sieve_primes`` consumes prime segments, and
+``nth_prime`` and ``primorial`` read a list of primes that
+``sieve_primes`` fills.  ``prime_count_pi`` sieves nothing: it runs
 Lucy's recursion over the values x // i, one update per prime up to
 icbrt(x) and one vectorised step for all the primes above it.
 
@@ -32,11 +33,13 @@ it, the searches through ``first_pair_with_gap``.
 The one work limit is the sieve budget.  A sieve pass may span at most
 budget integers, checked once per pass before the first segment is
 struck, so every window, subset, range and pair search is refused by
-the same test.  A prime count may cost at most budget units of r *
-isqrt(r), r = isqrt(x), about x^(3/4), checked before any array is
-allocated.  The default, 2^28, admits the full level-9 window (P_9# ~
-2.2e8) and refuses the level-10 one (~6.5e9); it admits pi(x) up to
-x ~ 1.7e11.
+the same test.  A pair search, ``first_pair_with_gap``, reads only the
+first budget integers of its range, and is refused only when they hold
+no pair and the range runs on.  A prime count may cost at most budget
+units of r * isqrt(r), r = isqrt(x), about x^(3/4), checked before any
+array is allocated.  The default, 2^28, admits the full level-9 window
+(P_9# ~ 2.2e8) and refuses the level-10 one (~6.5e9); it admits pi(x)
+up to x ~ 1.7e11.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -200,15 +203,32 @@ def segment_gaps(
 
 
 def first_pair_with_gap(
-    chunks: Iterable[tuple[int, np.ndarray]], g: int
+    segments: Callable[[int, int, int], Iterable[tuple[int, np.ndarray]]],
+    lo: int,
+    end: int,
+    g: int,
+    budget: int,
 ) -> tuple[int, int] | None:
-    """First consecutive pair (q, q + g) in a stream of ``segment_gaps``
-    chunks, or None; stops at the first chunk holding the gap."""
-    for base, gaps in chunks:
+    """First consecutive pair (q, q + g) of the values in [lo, end], read
+    from the budgeted prefix [lo, min(end, lo + budget - 1)], or None
+    when the prefix is the whole range and holds no pair.
+
+    segments(lo, hi, budget) gives the (start, offsets) segments of
+    [lo, hi]; one pass streams their ``segment_gaps`` chunks and stops at
+    the first chunk holding the gap.  When the prefix holds no pair and
+    the range runs on past it, the search is refused.
+    """
+    hi = min(end, lo + budget - 1)
+    for base, gaps in segment_gaps(segments(lo, hi, budget)):
         hits = np.flatnonzero(gaps == g)
         if len(hits):
             q = base + int(gaps[: hits[0]].sum())
             return q, q + g
+    if hi < end:
+        raise ValueError(
+            f"no gap-{g} pair among the first {budget} integers above {lo - 1}; "
+            f"searching on to {end} exceeds the sieve budget"
+        )
     return None
 
 

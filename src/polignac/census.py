@@ -5,9 +5,10 @@ Covers: consecutive-pair streams and their gap histograms (read from
 the four-case classification of what one propagation step does to a pair
 of adjacent gaps, exhaustive lineage trees for a single root pair with
 the closed-form count they must match, the search for a lineage's root
-pair in one budgeted pass over the window's start, subset boundary-gap
-spectra, per-subset minimum counts, and the constant separation of the
-two disallowed indices attached to a gap-g pair.
+pair among the window's first budget integers (by
+``arith.first_pair_with_gap``), subset boundary-gap spectra, per-subset
+minimum counts, and the constant separation of the two disallowed
+indices attached to a gap-g pair.
 
 A lineage tree grows as plain (value, steps) tuples, with one mhat call
 per node and one LineageStep shared by the nodes of a level that have
@@ -19,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Iterator
 
@@ -162,34 +164,28 @@ def classify_propagation(
     if not 0 <= m <= p_next - 1:
         raise ValueError(f"m={m} outside [0, {p_next - 1}]")
     g, g2 = p2 - p, p3 - p2
-    hats = tuple(mhat(q, k + 1).value for q in (p, p2, p3))
-    roles = []
-    if m == hats[0]:
-        roles.append(PropagationCase.FIRST_ABSORBED)
-    if m == hats[1]:
-        roles.append(PropagationCase.MERGED)
-    if m == hats[2]:
-        roles.append(PropagationCase.SECOND_ABSORBED)
+    # The gap each role leaves, in role order: an absorbed end merges its
+    # gap with the one beyond the triple, unknown without the neighbour.
+    gap_of = {
+        PropagationCase.FIRST_ABSORBED: None if left_neighbor is None else p2 - left_neighbor,
+        PropagationCase.MERGED: g + g2,
+        PropagationCase.SECOND_ABSORBED: None if right_neighbor is None else right_neighbor - p2,
+    }
+    roles = tuple(
+        role for role, q in zip(gap_of, triple) if m == mhat(q, k + 1).value
+    )
     if not roles:
         return PropagationOutcome(
             roles=(PropagationCase.BOTH_PRESERVED,), gaps=(g, g2)
         )
-    gaps: list[int | None] = []
-    merged = None
-    if PropagationCase.MERGED in roles:
-        merged = g + g2
-        gaps.append(merged)
-    if PropagationCase.FIRST_ABSORBED in roles:
-        ext = p - left_neighbor if left_neighbor is not None else None
-        gaps.insert(0, ext + g if ext is not None else None)
-    if PropagationCase.SECOND_ABSORBED in roles:
-        ext = right_neighbor - p3 if right_neighbor is not None else None
-        gaps.append(g2 + ext if ext is not None else None)
-    if roles == [PropagationCase.FIRST_ABSORBED]:
-        gaps.append(g2)
-    if roles == [PropagationCase.SECOND_ABSORBED]:
-        gaps.insert(0, g)
-    return PropagationOutcome(roles=tuple(roles), gaps=tuple(gaps), merged_gap=merged)
+    gaps = tuple(gap_of[role] for role in roles)
+    # One absorbed end leaves the other gap untouched.
+    if roles == (PropagationCase.FIRST_ABSORBED,):
+        gaps += (g2,)
+    elif roles == (PropagationCase.SECOND_ABSORBED,):
+        gaps = (g,) + gaps
+    merged = g + g2 if PropagationCase.MERGED in roles else None
+    return PropagationOutcome(roles=roles, gaps=gaps, merged_gap=merged)
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +304,14 @@ def find_root_pair(l: int, g: int, budget: int = SIEVE_BUDGET) -> tuple[int, int
     """Least consecutive prospective pair with gap g at level l, or None
     when the window holds none.
 
-    One pass streams the window's first budget integers, [5, 4 + budget]
-    or the whole window if shorter, segment by segment, and stops at the
-    first segment holding the gap, so a pair near the start of a window
-    too wide to sieve whole is still found.  When that prefix holds no
-    pair and the window runs on, the search is refused; so is a gap that
-    is not even and >= 2, before anything is sieved.
+    The window's first budget integers are searched by
+    ``arith.first_pair_with_gap``, which refuses when that prefix holds
+    no pair and the window runs on; a gap that is not even and >= 2 is
+    refused before anything is sieved.
     """
     require_gap(g)
-    end = WheelWindow(l).hi
-    hi = min(4 + budget, end)
-    pair = first_pair_with_gap(segment_gaps(prospective_segments(l, None, hi, budget)), g)
-    if pair is None and hi < end:
-        raise ValueError(
-            f"no gap-{g} pair among the first {budget} integers of the level-{l} "
-            f"window; searching on exceeds the sieve budget"
-        )
-    return pair
+    window = WheelWindow(l)
+    return first_pair_with_gap(partial(prospective_segments, l), window.lo, window.hi, g, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +416,7 @@ class PropagationTable:
             "roots": list(self.roots),
             "mhat_positions": list(self.mhat_positions),
             "rows": [
-                [
-                    {"value": c.value, "composite": c.composite} if c.value is not None
-                    else {"value": None, "composite": False}
-                    for c in row
-                ]
+                [{"value": c.value, "composite": c.composite} for c in row]
                 for row in self.rows
             ],
             "gap_first": self.gap_first,

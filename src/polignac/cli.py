@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, census, lineage, verify, subset-gaps, table1, bounds,
-ratios, find-pair, export; ``export census`` and ``export bounds`` are
-``census`` and ``bounds`` with csv and json as their default formats.
+ratios, find-pair, export; ``export census`` is ``census`` with csv as
+its default format.
 
 Every subcommand returns an ``Output``: its JSON payload, its text
 rendering, its csv rendering where ``--format csv`` is offered (gen and
@@ -16,14 +16,14 @@ Exit codes: 0 success, 1 usage or range error, 2 an empirical
 verification that failed.  A refusal prints nothing on stdout; a value
 out of range, ``lineage`` with no root pair included, prints
 ``error: <message>`` on stderr.
-The one global flag, ``--budget N``, sets the sieve budget: the most
-integers one sieve pass of gen, census, lineage, bounds or find-pair may
-cover, ``arith.SIEVE_BUDGET`` by default; a budget below 1 is refused.
-``lineage`` and ``find-pair`` search the first N integers of their
-range for a pair, and are refused only when that prefix holds none and
-the range runs on past it.  It is the only setting: nothing is read from the environment, and the
-lineage cap is the constant ``census.LINEAGE_CAP``.  Exact quantities
-appear in JSON output as decimal strings, never floats.
+The one global flag, ``--budget N``, sets the sieve budget
+(``arith.SIEVE_BUDGET`` by default; a budget below 1 is refused): the
+most integers one sieve pass of gen, census, lineage, bounds or
+find-pair may cover, and the prefix of its range that ``lineage`` or
+``find-pair`` searches for a pair.  It is the only setting: nothing is
+read from the environment, and the lineage cap is the constant
+``census.LINEAGE_CAP``.  Exact quantities appear in JSON output as
+decimal strings, never floats.
 """
 
 from __future__ import annotations
@@ -197,14 +197,6 @@ def _add_census(parser: argparse.ArgumentParser, default_format: str) -> None:
     parser.set_defaults(func=_cmd_census)
 
 
-def _add_bounds(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument("-r", "--root-level", type=int, required=True)
-    parser.add_argument("-l", "--from-level", "--l", type=int, required=True)
-    parser.add_argument("-g", "--gap", type=int, required=True)
-    _add_output(parser, default=default_format)
-    parser.set_defaults(func=_cmd_bounds)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polignac",
@@ -246,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("bounds", help="prime-pair lower bound vs observed count")
-    _add_bounds(p, "text")
+    p.add_argument("-r", "--root-level", type=int, required=True)
+    p.add_argument("-l", "--from-level", "--l", type=int, required=True)
+    p.add_argument("-g", "--gap", type=int, required=True)
+    _add_output(p)
+    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("ratios", help="level-to-level bound growth factor")
     p.add_argument("-l", "--from-level", "--l", type=int, required=True)
@@ -260,11 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.set_defaults(func=_cmd_find_pair)
 
-    export = sub.add_parser(
-        "export", help="write a census or bound report to a file"
-    ).add_subparsers(dest="what", required=True)
+    export = sub.add_parser("export", help="write a census to a file").add_subparsers(
+        dest="what", required=True
+    )
     _add_census(export.add_parser("census", help="census, csv by default"), "csv")
-    _add_bounds(export.add_parser("bounds", help="bound report, json by default"), "json")
 
     return parser
 

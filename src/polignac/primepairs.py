@@ -8,15 +8,18 @@ level, evaluates the lower bound on gap-g prime pairs inside
 bound from one level to the next, and searches for prime pairs above a
 threshold.
 
-Both sieve-bound computations read the gaps between consecutive primes
-from ``arith.segment_gaps`` over the odd-only prime segments of
+Theorem 3's primes come from one sieve: P_1, ..., P_k are the primes
+up to sqrt(P_l#), so k is their number, and P_{k+1} is the next prime,
+found by ``arith.is_prime``.  ``k_for_level`` gives the same k by
+``arith.prime_count_pi``, which sieves nothing and so reaches levels
+whose sqrt(P_l#) is past the sieve budget.
+
+The pair count and the pair search read the gaps between consecutive
+primes from ``arith.segment_gaps`` over the odd-only prime segments of
 ``arith.prime_segments``, for just the range they need, so pairs
 straddling a segment edge are seen: pair counts add up ``gaps == g`` per
-chunk, and the pair search reads at most the first budget integers
-above M and stops at the first chunk holding a hit.
-k = pi(sqrt(P_l#)) comes from ``arith.prime_count_pi``, which sieves
-nothing, so only the pair count of ``bound_report`` is held to a sieve
-budget.
+chunk, and the pair search is ``arith.first_pair_with_gap`` over the
+first budget integers above M.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .arith import (
     SIEVE_BUDGET, first_pair_with_gap, is_prime, nth_prime, prime_count_pi, prime_segments,
-    primorial, segment_gaps,
+    primorial, segment_gaps, sieve_primes,
 )
 from .census import predicted_derived_count, require_gap
 from .wheel import enumerate_prospective
@@ -43,18 +46,18 @@ def k_for_level(l: int) -> int:
     return prime_count_pi(math.isqrt(primorial(l)))
 
 
-def _prime_gaps(lo: int, hi: int, budget: int) -> Iterator[tuple[int, np.ndarray]]:
-    """``arith.segment_gaps`` chunks of the consecutive primes in [lo, hi]."""
+def _prime_segments(lo: int, hi: int, budget: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The primes in [lo, hi] as ``arith.strike_segments``-style
+    (start, offsets) segments with start 0."""
     # map, unlike a generator expression, holds no segment while the
     # next one is struck.
-    segments = map(lambda primes: (0, primes), prime_segments(lo, hi, budget))
-    return segment_gaps(segments)
+    return map(lambda primes: (0, primes), prime_segments(lo, hi, budget))
 
 
 def actual_pair_count(g: int, lo: int, hi: int, budget: int = SIEVE_BUDGET) -> int:
     """Consecutive-prime pairs (q, q') with q' - q = g and lo < q, q' < hi."""
     count = 0
-    for _, gaps in _prime_gaps(lo + 1, hi - 1, budget):
+    for _, gaps in segment_gaps(_prime_segments(lo + 1, hi - 1, budget)):
         count += int(np.count_nonzero(gaps == g))
         del gaps  # free this segment before the next one is struck
     return count
@@ -74,8 +77,7 @@ def theorem3_lower_bound(r: int, l: int, g: int) -> LowerBound:
     consecutive gap-g pair.
     """
     _require_root(r, l, g)
-    k = k_for_level(l)
-    return _lower_bound(r, l, g, [nth_prime(j) for j in range(l, k)])
+    return _lower_bound(r, l, g, sieve_primes(math.isqrt(primorial(l))))
 
 
 def _require_root(r: int, l: int, g: int) -> None:
@@ -84,16 +86,19 @@ def _require_root(r: int, l: int, g: int) -> None:
     require_gap(g)
 
 
-def _lower_bound(r: int, l: int, g: int, primes: list[int]) -> LowerBound:
-    """The bound from the primes P_l, ..., P_{k-1}."""
+def _lower_bound(r: int, l: int, g: int, primes: np.ndarray) -> LowerBound:
+    """The bound from P_1, ..., P_k, the primes up to sqrt(P_l#); it
+    multiplies P_l, ..., P_{k-1}."""
     n_l = 1 if l == r else predicted_derived_count(r, l, g)
+    k = len(primes)
+    factors = primes[l - 1 : k - 1].tolist()
     # One factor (p - 4) / (p - 2) per P_l <= p < P_k, times (p - 2) / (p - 1)
     # where p | g: both products are built whole and reduced once.
     bound = Fraction(
-        n_l * math.prod(p - 4 for p in primes),
-        math.prod(p - 1 if g % p == 0 else p - 2 for p in primes),
+        n_l * math.prod(p - 4 for p in factors),
+        math.prod(p - 1 if g % p == 0 else p - 2 for p in factors),
     )
-    return LowerBound(exact=bound, k=l + len(primes), n_root=n_l)
+    return LowerBound(exact=bound, k=k, n_root=n_l)
 
 
 @dataclass
@@ -145,23 +150,24 @@ def _decimal(n: int) -> str:
 
 def bound_report(r: int, l: int, g: int, budget: int = SIEVE_BUDGET) -> BoundReport:
     """The Theorem 3 bound next to the observed count.  The arguments are
-    checked first, then k and the window are found, and the count, which
-    refuses a window past the budget before striking it, runs before the
-    exact bound is built: past l = 10 the bound alone takes seconds to
-    minutes, and a refusal must not wait for it."""
+    checked first; P_1, ..., P_k come from one sieve to sqrt(P_l#) and
+    P_{k+1} is the next prime.  The count, which refuses a window past
+    the budget before striking it, runs before the exact bound is built:
+    past l = 10 the bound alone takes seconds to minutes, and a refusal
+    must not wait for it."""
     if l < 3:
         raise ValueError(f"level must be >= 3, got {l}")
     _require_root(r, l, g)
-    k = k_for_level(l)
-    # P_l, ..., P_{k+1}, read in increasing order as the bound reads them:
-    # the prime table then grows through the same limits, and past the
-    # budget (from l = 15) is refused with the same message.
-    primes = [nth_prime(j) for j in range(l, k + 2)]
-    lo, hi = primes[-2], primes[-1] ** 2
+    root = math.isqrt(primorial(l))
+    primes = sieve_primes(root, budget)
+    p_next = root + 1
+    while not is_prime(p_next):
+        p_next += 1
+    lo, hi = int(primes[-1]), p_next**2
     observed = actual_pair_count(g, lo, hi, budget=budget)
-    bound = _lower_bound(r, l, g, primes[:-2])
+    bound = _lower_bound(r, l, g, primes)
     return BoundReport(
-        r=r, l=l, g=g, k=k, window=(lo, hi),
+        r=r, l=l, g=g, k=bound.k, window=(lo, hi),
         bound=bound.exact, observed=observed, n_root=bound.n_root,
     )
 
@@ -191,22 +197,14 @@ def find_pair_above(
     exceeds m, or None if none turns up below search_limit, which must
     exceed m.
 
-    One pass streams the first budget integers above m, (m, m + budget]
-    or (m, search_limit] if shorter, and stops at the first segment
-    holding the gap.  When that prefix holds no pair and the limit lies
-    beyond it, the search is refused.
+    The first budget integers above m are searched by
+    ``arith.first_pair_with_gap``, which refuses when they hold no pair
+    and the limit lies beyond them.
     """
     require_gap(g)
     if search_limit <= m:
         raise ValueError(f"search limit {search_limit} must exceed {m}")
-    hi = min(search_limit, m + budget)
-    pair = first_pair_with_gap(_prime_gaps(m + 1, hi, budget), g)
-    if pair is None and hi < search_limit:
-        raise ValueError(
-            f"no gap-{g} pair among the first {budget} integers above {m}; "
-            f"searching on to {search_limit} exceeds the sieve budget"
-        )
-    return pair
+    return first_pair_with_gap(_prime_segments, m + 1, search_limit, g, budget)
 
 
 @dataclass

@@ -1,11 +1,13 @@
 import json
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from polignac import arith
 from polignac.arith import nth_prime, primorial
 from polignac.census import gap_census
 from polignac.cli import main
@@ -19,6 +21,7 @@ from polignac.primepairs import (
     theorem3_lower_bound,
     verify_prospective_below_square,
 )
+from conftest import oracle_primes
 
 
 def test_k_for_level_examples():
@@ -57,6 +60,13 @@ def test_theorem3_lower_bound_examples():
     assert theorem3_lower_bound(2, 2, 2).exact == 1
 
 
+@pytest.mark.parametrize("l", range(2, 11))
+def test_theorem3_lower_bound_k_is_k_for_level(l):
+    # k = pi(isqrt(P_l#)) at every level, l = 2 included, where
+    # isqrt(6) = 2 gives k = 1 < l and the bound multiplies no primes.
+    assert theorem3_lower_bound(2, l, 2).k == k_for_level(l)
+
+
 def test_theorem3_lower_bound_rejects_bad_args():
     with pytest.raises(ValueError):
         theorem3_lower_bound(3, 2, 2)
@@ -89,6 +99,24 @@ def test_bound_report_fields():
     assert payload["k"] == 15
 
 
+def test_bound_report_past_budget_refused_cheaply(monkeypatch):
+    # At l = 13 the window (P_k, P_{k+1}^2) spans about 3e14 integers, so
+    # the count is refused.  Finding P_k and P_{k+1} (k ~ 1.1e6) must not
+    # leave a table of a million Python ints behind: the primes up to
+    # sqrt(P_13#) take 9 MB as one int64 array.
+    monkeypatch.setattr(arith, "_PRIMES", [])
+    monkeypatch.setattr(arith, "_PRIMORIALS", [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="sieve budget"):
+            bound_report(2, 13, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    assert len(arith._PRIMES) < 100
+
+
 def test_growth_ratio_paper_anchors():
     assert growth_ratio(9) == pytest.approx(1.4, abs=0.1)
     assert growth_ratio(10) == pytest.approx(4.5, abs=0.1)
@@ -114,6 +142,22 @@ def test_find_pair_above_examples():
 def test_find_pair_above_is_least():
     pair = find_pair_above(4, 100, 10**4)
     assert pair == (103, 107)
+
+
+def test_find_pair_above_budget_is_exact():
+    # The search covers (M, M + budget]: the pair is found once its
+    # upper member is inside and refused one integer short, and a
+    # budget that covers the whole range answers None for an absent gap.
+    primes = oracle_primes(2000)
+    for g in (14, 22, 34):
+        q, r = next((q, r) for q, r in zip(primes, primes[1:]) if r - q == g)
+        for m in (0, q // 2):
+            assert find_pair_above(g, m, 2000, budget=r - m) == (q, r)
+            with pytest.raises(ValueError, match="sieve budget"):
+                find_pair_above(g, m, 2000, budget=r - m - 1)
+        assert find_pair_above(g, 0, r - 1, budget=r - 1) is None
+        with pytest.raises(ValueError, match="sieve budget"):
+            find_pair_above(g, 0, r - 1, budget=r - 2)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
