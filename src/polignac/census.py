@@ -10,9 +10,12 @@ pair among the window's first budget integers (by
 minimum counts, and the constant separation of the two disallowed
 indices attached to a gap-g pair.
 
-A lineage tree grows as plain (value, steps) tuples, with one mhat call
-per node and one LineageStep shared by the nodes of a level that have
-the same disallowed indices; a LineageLeaf is built only for a final leaf.
+A lineage tree grows level by level as LineageLeaf tuples, each node
+built once.  mhat is linear, so one mhat call per level gives every
+node's disallowed index; the nodes with the same index share one row of
+LineageSteps.  A child x + m * P_j# lies in the m-th stretch of width
+P_j#, so children emitted residue by residue over an increasing
+frontier come out increasing, and the tree needs no sort.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .arith import (
 )
 from .wheel import (
     WheelWindow,
-    enumerate_prospective,
+    is_prospective,
     mhat,
     prospective_segments,
     subset_extremes,
@@ -116,9 +118,19 @@ def require_gap(g: int) -> None:
 
 def _require_consecutive(run: tuple[int, ...], k: int) -> None:
     """Refuse a run that is not every prospective prime of level k from
-    its first value to its last, in increasing order."""
-    first, last = run[0], run[-1]
-    if first > last or tuple(enumerate_prospective(k, first, last)) != tuple(run):
+    its first value to its last, in increasing order.
+
+    Nothing is sieved: the members are checked one by one, and then the
+    values between adjacent members, as ``subset_extremes`` scans, up to
+    the first prospective one.  A valid run costs its own gaps, and an
+    invalid one stops at its first skipped value.
+    """
+    adjacent = list(zip(run, run[1:]))
+    if not (
+        all(a < b for a, b in adjacent)
+        and all(is_prospective(n, k) for n in run)
+        and not any(is_prospective(n, k) for a, b in adjacent for n in range(a + 1, b))
+    ):
         raise ValueError(f"{run} is not a run of consecutive prospective primes at level {k}")
 
 
@@ -191,15 +203,13 @@ def classify_propagation(
 # ---------------------------------------------------------------------------
 # lineage trees and counting
 
-@dataclass(frozen=True)
-class LineageStep:
+class LineageStep(NamedTuple):
     level: int  # level being entered
     chosen_m: int
     disallowed: tuple[int, int]  # per-component disallowed indices
 
 
-@dataclass(frozen=True)
-class LineageLeaf:
+class LineageLeaf(NamedTuple):
     pair: tuple[int, int]
     steps: tuple[LineageStep, ...]
 
@@ -263,14 +273,17 @@ def derive_pairs(root: tuple[int, int], l: int, k: int) -> PairLineage:
     """All gap-g descendants of one consecutive pair, level l up to k,
     increasing; the leaf count must equal predicted_derived_count(l, k, g).
 
-    The tree grows as plain (x, steps) tuples.  Entering level j + 1,
-    both members of (x, x + g) take the same residue m, any but their two
-    disallowed indices: one mhat call per node gives x's, and mhat being
-    linear, x + g's is that plus mhat_delta.  Nodes with the same index
-    share one list of (m * P_j#, LineageStep); the leaves are sorted by x
-    and built last.  Refused: l < 2 or k <= l (as predicted_derived_count
-    refuses them), spans wider than LINEAGE_CAP, and a root that is not a
-    consecutive pair.
+    Every node is a LineageLeaf, built once.  Entering level j + 1, both
+    members of (x, x + g) take the same residue m, any but their two
+    disallowed indices.  mhat is linear, so one call per level, for 1,
+    gives x's index as x times it mod P_{j+1}, and x + g's is that plus
+    the index of g, mhat_delta(j + 1, g); the nodes with the same index
+    share one row of LineageSteps, None at the two disallowed m.  The
+    child x + m * P_j# of a node x of the level-j window [5, 4 + P_j#]
+    lies in the m-th stretch of width P_j#, so children emitted m by m
+    over an increasing frontier are increasing: no sort.  Refused: l < 2
+    or k <= l (as predicted_derived_count refuses them), spans wider
+    than LINEAGE_CAP, and a root that is not a consecutive pair.
     """
     _require_levels(l, k)
     if k - l > LINEAGE_CAP:
@@ -280,24 +293,27 @@ def derive_pairs(root: tuple[int, int], l: int, k: int) -> PairLineage:
         )
     _require_consecutive(root, l)
     g = root[1] - root[0]
-    frontier: list[tuple[int, tuple[LineageStep, ...]]] = [(root[0], ())]
+    frontier = [LineageLeaf(root, ())]
     for j in range(l, k):
-        p, step_size, delta = nth_prime(j + 1), primorial(j), mhat_delta(j + 1, g)
-        choices: dict[int, list[tuple[int, LineageStep]]] = {}
-        grown: list[tuple[int, tuple[LineageStep, ...]]] = []
-        for x, steps in frontier:
-            hat = mhat(x, j + 1).value
-            if hat not in choices:
-                hats = (hat, (hat + delta) % p)
-                choices[hat] = [
-                    (m * step_size, LineageStep(j + 1, m, hats))
-                    for m in range(p) if m not in hats
-                ]
-            grown += [(x + shift, steps + (step,)) for shift, step in choices[hat]]
-        frontier = grown
-    frontier.sort(key=itemgetter(0))
-    leaves = [LineageLeaf((x, x + g), steps) for x, steps in frontier]
-    return PairLineage(root=root, root_level=l, target_level=k, leaves=leaves)
+        p, step_size, unit = nth_prime(j + 1), primorial(j), mhat(1, j + 1).value
+        hats = [a * unit % p for (a, _), _ in frontier]
+        rows = {hat: _step_row(j + 1, p, (hat, (hat + g * unit) % p)) for hat in set(hats)}
+        nodes = [(a, b, steps, rows[hat]) for ((a, b), steps), hat in zip(frontier, hats)]
+        frontier = []
+        for m in range(p):
+            shift = m * step_size
+            frontier += [
+                LineageLeaf((a + shift, b + shift), steps + (step,))
+                for a, b, steps, row in nodes
+                if (step := row[m]) is not None
+            ]
+    return PairLineage(root=root, root_level=l, target_level=k, leaves=frontier)
+
+
+def _step_row(level: int, p: int, disallowed: tuple[int, int]) -> list[LineageStep | None]:
+    """The step taken with each residue m < p into level, None at the
+    two disallowed m."""
+    return [None if m in disallowed else LineageStep(level, m, disallowed) for m in range(p)]
 
 
 def find_root_pair(l: int, g: int, budget: int = SIEVE_BUDGET) -> tuple[int, int] | None:

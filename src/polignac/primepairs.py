@@ -95,10 +95,21 @@ def _lower_bound(r: int, l: int, g: int, primes: np.ndarray) -> LowerBound:
     # One factor (p - 4) / (p - 2) per P_l <= p < P_k, times (p - 2) / (p - 1)
     # where p | g: both products are built whole and reduced once.
     bound = Fraction(
-        n_l * math.prod(p - 4 for p in factors),
-        math.prod(p - 1 if g % p == 0 else p - 2 for p in factors),
+        n_l * _product([p - 4 for p in factors]),
+        _product([p - 1 if g % p == 0 else p - 2 for p in factors]),
     )
     return LowerBound(exact=bound, k=k, n_root=n_l)
+
+
+def _product(factors: list[int]) -> int:
+    """The product of factors by a balanced tree: adjacent terms are
+    multiplied pairwise, level by level, so each large product joins two
+    operands of about the same size.  math.prod grows one operand a word
+    at a time, which is quadratic in the number of factors."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[len(paired) * 2 :]
+    return factors[0] if factors else 1
 
 
 @dataclass

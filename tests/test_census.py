@@ -9,6 +9,8 @@ import pytest
 from polignac import arith, census
 from polignac.arith import nth_prime, primorial
 from polignac.census import (
+    LineageLeaf,
+    LineageStep,
     PropagationCase,
     classify_propagation,
     consecutive_pairs,
@@ -235,13 +237,25 @@ def test_lineage_matches_brute_force_oracle(root, l, k):
     assert lineage_as_tuples(lineage) == oracle_lineage(root, l, k)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("l, k", [(3, 7), (4, 8)])
+@pytest.mark.parametrize("l, k", [(3, 7), pytest.param(4, 8, marks=pytest.mark.slow)])
 def test_wide_lineage_matches_brute_force_oracle(l, k):
     # 7 425 and 25 245 leaves: the full cap of 4 levels.
     lineage = derive_pairs((11, 13), l, k)
     assert len(lineage.leaves) == predicted_derived_count(l, k, 2)
     assert lineage_as_tuples(lineage) == oracle_lineage((11, 13), l, k)
+
+
+def test_lineage_records_are_frozen_hashable_tuples():
+    step = LineageStep(4, 0, (1, 2))
+    leaf = LineageLeaf((11, 13), (step,))
+    assert (step.level, step.chosen_m, step.disallowed) == (4, 0, (1, 2))
+    assert (leaf.pair, leaf.steps) == ((11, 13), (step,))
+    for record, name in ((step, "chosen_m"), (leaf, "pair")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    twin = LineageLeaf((11, 13), (LineageStep(4, 0, (1, 2)),))
+    assert twin == leaf and hash(twin) == hash(leaf)
+    assert len({leaf, twin, LineageLeaf((11, 13), ())}) == 2
 
 
 def test_lineage_steps_avoid_disallowed():
@@ -313,10 +327,16 @@ def test_classify_propagation_with_neighbor():
 
 
 def test_classify_propagation_rejects_non_consecutive():
-    # 121 skipped; not increasing; 119 = 7 * 17 not prospective
-    for triple in ((113, 127, 131), (121, 113, 127), (113, 119, 127)):
-        with pytest.raises(ValueError):
-            classify_propagation(triple, 4, 0)
+    # 121 skipped; not increasing; 119 = 7 * 17 not prospective; 6007
+    # skipped at level 6; 10**12 even, in a run spanning far more
+    # integers than the sieve budget, which is not consulted
+    for triple, k in (
+        ((113, 127, 131), 4), ((121, 113, 127), 4), ((113, 119, 127), 4),
+        ((6001, 6011, 6023), 6), ((73, 79, 10**12), 20),
+    ):
+        message = f"^{re.escape(str(triple))} is not a run of consecutive prospective primes at level {k}$"
+        with pytest.raises(ValueError, match=message):
+            classify_propagation(triple, k, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,22 @@ def test_theorem3_lower_bound_k_is_k_for_level(l):
     assert theorem3_lower_bound(2, l, 2).k == k_for_level(l)
 
 
+@pytest.mark.parametrize("l", [6, 7, 8, 9, 10])
+@pytest.mark.parametrize("r, g", [(2, 2), (3, 6), (4, 30)])
+def test_theorem3_lower_bound_matches_oracle_product(r, l, g):
+    # P_1..P_k are the oracle primes up to sqrt(P_l#); the bound is
+    # n_l * prod (p - 4) / prod (p - 1 or p - 2) over P_l <= p < P_k.
+    primes = oracle_primes(math.isqrt(math.prod(oracle_primes(30)[:l])))
+    n_l = math.prod(p - 1 if g % p == 0 else p - 2 for p in primes[r:l])
+    factors = primes[l - 1 : -1]
+    want = Fraction(
+        n_l * math.prod(p - 4 for p in factors),
+        math.prod(p - 1 if g % p == 0 else p - 2 for p in factors),
+    )
+    bound = theorem3_lower_bound(r, l, g)
+    assert (bound.exact, bound.k, bound.n_root) == (want, len(primes), n_l)
+
+
 def test_theorem3_lower_bound_rejects_bad_args():
     with pytest.raises(ValueError):
         theorem3_lower_bound(3, 2, 2)
