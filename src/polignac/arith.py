@@ -18,8 +18,11 @@ fits in half of a 2 MiB L2.  A prime at least as large as a segment's
 flag count hits it at most once, so the kernel strikes all such primes
 with one scatter and loops over the smaller ones only.  Its callers
 strike odd primes only, as int64 arrays: the wheel's P_2..P_k (every
-wheel holds 2), and in ``prime_segments`` a copy of the odd base primes
-up to sqrt(hi).  ``sieve_primes`` consumes prime segments, and
+wheel holds 2), in ``prime_segments`` a copy of the odd base primes up
+to sqrt(hi), and in ``sieve_primes`` the odd primes up to sqrt(limit).
+Every pass's base primes come from ``sieve_primes``, which up to
+SEGMENT_SIZE is one odd-only mask struck by one kernel call, and above
+it joins the (start, offsets) segments of ``prime_segments``.
 ``nth_prime`` and ``primorial`` read a list of primes that
 ``sieve_primes`` fills.  ``prime_count_pi`` sieves nothing: it runs
 Lucy's recursion over the values x // i, one update per prime up to
@@ -31,9 +34,11 @@ pair counts and pair searches in ``census`` and ``primepairs`` all read
 it, the searches through ``first_pair_with_gap``.
 
 The one work limit is the sieve budget.  A sieve pass may span at most
-budget integers, checked once per pass before the first segment is
-struck, so every window, subset, range and pair search is refused by
-the same test.  A pair search, ``first_pair_with_gap``, reads only the
+budget integers, checked once per pass by ``_require_span`` before the
+pass allocates anything, so every window, subset, range and pair search
+is refused by the same test; ``prime_segments`` checks its range pass
+before it sieves its base primes, so a range past the budget is refused
+before any sieve.  A pair search, ``first_pair_with_gap``, reads only the
 first budget integers of its range, and is refused only when they hold
 no pair and the range runs on.  A prime count may cost at most budget
 units of r * isqrt(r), r = isqrt(x), about x^(3/4), checked before any
@@ -96,6 +101,13 @@ def _strike(size: int, primes: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     return flags
 
 
+def _require_span(lo: int, hi: int, budget: int) -> None:
+    """Refuse a sieve pass over [lo, hi] that spans more than budget
+    integers: the one test behind every sieve refusal."""
+    if hi - lo + 1 > budget:
+        raise ValueError(f"sieving {lo}:{hi} exceeds the sieve budget of {budget} integers")
+
+
 def strike_segments(
     lo: int, hi: int, primes: np.ndarray, budget: int = SIEVE_BUDGET
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -110,13 +122,12 @@ def strike_segments(
     SEGMENT_SIZE, so a consumer that stops a few values in has struck
     little.  Flag i of a segment's mask stands for the odd value
     start + 2i, so a mask holds half as many flags as the segment spans
-    integers.  A range of more than budget integers is refused before
-    the first segment is struck.  The generator keeps no reference to a
-    yielded array, so a consumer that drops it frees the segment before
-    the next one is struck.
+    integers.  A range of more than budget integers is refused by
+    ``_require_span`` before the first segment is struck.  The generator
+    keeps no reference to a yielded array, so a consumer that drops it
+    frees the segment before the next one is struck.
     """
-    if hi - lo + 1 > budget:
-        raise ValueError(f"sieving {lo}:{hi} exceeds the sieve budget of {budget} integers")
+    _require_span(lo, hi, budget)
     first = lo | 1
     count = (hi - first) // 2 + 1  # odd values in [lo, hi]
     # p is first struck at the index i solving first + 2i = 0 (mod p):
@@ -144,35 +155,36 @@ def strike_segments(
 
 def prime_segments(
     lo: int, hi: int, budget: int = SIEVE_BUDGET
-) -> Iterator[np.ndarray]:
-    """Primes in [lo, hi], increasing, as int64 arrays.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Primes in [lo, hi], increasing, as (start, offsets) segments, the
+    shape ``strike_segments`` yields: the primes are start + offsets.
 
-    The base primes up to sqrt(hi) come first, as one array.  Above
-    sqrt(hi), ``strike_segments`` strikes the odd base primes from each
-    segment.  Every such segment starts above every base prime, so
-    striking all multiples leaves exactly the odd primes; 2 reaches the
-    range pass only when hi < 4, and is added there.  Both passes, the
-    base primes' and the range's, are held to budget in integers
-    spanned.
+    The base primes up to sqrt(hi) come first, as one (0, primes)
+    segment.  Above sqrt(hi), ``strike_segments`` strikes the odd base
+    primes from each segment, and its segments pass straight through.
+    Every such segment starts above every base prime, so striking all
+    multiples leaves exactly the odd primes; 2 reaches the range pass
+    only when hi < 4, and is added there.  Both passes are held to
+    budget in integers spanned, the range's first: a range past the
+    budget is refused before the int64 bound is checked and before any
+    base prime is sieved.
     """
     if hi < 2:
         return
+    root = math.isqrt(hi)
+    range_lo = max(lo, root + 1)
+    _require_span(range_lo, hi, budget)
     if hi > _INT64_MAX:
         raise ValueError(f"prime segments hold int64 values, got hi={hi}")
-    root = math.isqrt(hi)
     base = sieve_primes(root, budget)
     # Copy the odd base primes before base is handed out: a consumer
     # may overwrite the array it is given.
     odd = base[1:].copy()
     if lo <= root:
-        yield base[np.searchsorted(base, lo) :]
-    lo = max(lo, root + 1)
-    if lo == 2:
-        yield np.array([2], dtype=np.int64)
-    for start, primes in strike_segments(lo, hi, odd, budget):
-        primes += start
-        yield primes
-        del primes  # free this segment before the next one is struck
+        yield 0, base[np.searchsorted(base, lo) :]
+    if range_lo == 2:
+        yield 0, np.array([2], dtype=np.int64)
+    yield from strike_segments(range_lo, hi, odd, budget)
 
 
 def segment_gaps(
@@ -233,10 +245,27 @@ def first_pair_with_gap(
 
 
 def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> np.ndarray:
-    """All primes <= limit as an int64 array."""
+    """All primes <= limit as an int64 array.
+
+    Up to SEGMENT_SIZE this is one odd-only mask, flag i for 2i + 1,
+    and one ``_strike`` call: each odd prime p <= isqrt(limit), from
+    sieve_primes(isqrt(limit)), is struck from index p*p // 2.  Each
+    level of the recursion is one kernel call on the square root of the
+    level before.  Above SEGMENT_SIZE, where one mask is slower than
+    segments and needs more memory, the segments of ``prime_segments``
+    are joined.  Either way the pass over (isqrt(limit), limit] is held
+    to budget before anything is allocated.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    return np.concatenate(list(prime_segments(2, limit, budget)))
+    if limit > SEGMENT_SIZE:
+        return np.concatenate([start + offsets for start, offsets in prime_segments(2, limit, budget)])
+    root = math.isqrt(limit)
+    _require_span(root + 1, limit, budget)
+    odd = sieve_primes(root, budget)[1:]
+    primes = 2 * np.flatnonzero(_strike((limit + 1) // 2, odd, odd * odd // 2)) + 1
+    primes[0] = 2  # flag 0 stands for 1, which no prime strikes
+    return primes
 
 
 # The first primes in order, and the primorials of the first ones; both

@@ -9,14 +9,16 @@ bound from one level to the next, and searches for prime pairs above a
 threshold.
 
 Theorem 3's primes come from one sieve: P_1, ..., P_k are the primes
-up to sqrt(P_l#), so k is their number, and P_{k+1} is the next prime,
-found by ``arith.is_prime``.  ``k_for_level`` gives the same k by
+up to sqrt(P_l#), so k is their number.  ``bound_report`` first finds
+P_k and P_{k+1} with ``arith.is_prime`` on either side of sqrt(P_l#)
+and counts the window, so a window past the sieve budget is refused
+before anything is sieved.  ``k_for_level`` gives the same k by
 ``arith.prime_count_pi``, which sieves nothing and so reaches levels
 whose sqrt(P_l#) is past the sieve budget.
 
 The pair count and the pair search read the gaps between consecutive
-primes from ``arith.segment_gaps`` over the odd-only prime segments of
-``arith.prime_segments``, for just the range they need, so pairs
+primes from ``arith.segment_gaps`` over the (start, offsets) segments
+of ``arith.prime_segments``, for just the range they need, so pairs
 straddling a segment edge are seen: pair counts add up ``gaps == g`` per
 chunk, and the pair search is ``arith.first_pair_with_gap`` over the
 first budget integers above M.
@@ -28,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,18 +48,10 @@ def k_for_level(l: int) -> int:
     return prime_count_pi(math.isqrt(primorial(l)))
 
 
-def _prime_segments(lo: int, hi: int, budget: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The primes in [lo, hi] as ``arith.strike_segments``-style
-    (start, offsets) segments with start 0."""
-    # map, unlike a generator expression, holds no segment while the
-    # next one is struck.
-    return map(lambda primes: (0, primes), prime_segments(lo, hi, budget))
-
-
 def actual_pair_count(g: int, lo: int, hi: int, budget: int = SIEVE_BUDGET) -> int:
     """Consecutive-prime pairs (q, q') with q' - q = g and lo < q, q' < hi."""
     count = 0
-    for _, gaps in segment_gaps(_prime_segments(lo + 1, hi - 1, budget)):
+    for _, gaps in segment_gaps(prime_segments(lo + 1, hi - 1, budget)):
         count += int(np.count_nonzero(gaps == g))
         del gaps  # free this segment before the next one is struck
     return count
@@ -161,24 +155,25 @@ def _decimal(n: int) -> str:
 
 def bound_report(r: int, l: int, g: int, budget: int = SIEVE_BUDGET) -> BoundReport:
     """The Theorem 3 bound next to the observed count.  The arguments are
-    checked first; P_1, ..., P_k come from one sieve to sqrt(P_l#) and
-    P_{k+1} is the next prime.  The count, which refuses a window past
-    the budget before striking it, runs before the exact bound is built:
-    past l = 10 the bound alone takes seconds to minutes, and a refusal
-    must not wait for it."""
+    checked first; P_k and P_{k+1} are the primes on either side of
+    sqrt(P_l#), found by ``is_prime``.  The count runs next, and refuses
+    a window past the budget before anything is sieved; only then do
+    P_1, ..., P_k come from one sieve to sqrt(P_l#) and the exact bound
+    get built: past l = 10 the bound alone takes seconds to minutes, and
+    a refusal must not wait for it."""
     if l < 3:
         raise ValueError(f"level must be >= 3, got {l}")
     _require_root(r, l, g)
     root = math.isqrt(primorial(l))
-    primes = sieve_primes(root, budget)
-    p_next = root + 1
+    p_k, p_next = root, root + 1
+    while not is_prime(p_k):
+        p_k -= 1
     while not is_prime(p_next):
         p_next += 1
-    lo, hi = int(primes[-1]), p_next**2
-    observed = actual_pair_count(g, lo, hi, budget=budget)
-    bound = _lower_bound(r, l, g, primes)
+    observed = actual_pair_count(g, p_k, p_next**2, budget=budget)
+    bound = _lower_bound(r, l, g, sieve_primes(root, budget))
     return BoundReport(
-        r=r, l=l, g=g, k=bound.k, window=(lo, hi),
+        r=r, l=l, g=g, k=bound.k, window=(p_k, p_next**2),
         bound=bound.exact, observed=observed, n_root=bound.n_root,
     )
 
@@ -215,7 +210,7 @@ def find_pair_above(
     require_gap(g)
     if search_limit <= m:
         raise ValueError(f"search limit {search_limit} must exceed {m}")
-    return first_pair_with_gap(_prime_segments, m + 1, search_limit, g, budget)
+    return first_pair_with_gap(prime_segments, m + 1, search_limit, g, budget)
 
 
 @dataclass

@@ -418,8 +418,11 @@ def test_refusal_contract(capsys, argv):
 
 
 # A window past the sieve budget is refused before the exact bound is
-# built: at l = 12 the bound alone takes over a minute.
-@pytest.mark.parametrize("level", [11, 12])
+# built, and before anything is sieved: at l = 12 the bound alone takes
+# over a minute, and from l = 15 on sqrt(P_l#) is itself past the budget.
+# At l = 16 and 17 the window also runs past 2^63; the budget refuses it
+# before the int64 bound is checked.
+@pytest.mark.parametrize("level", range(11, 18))
 def test_bounds_past_budget_refused_at_once(capsys, level):
     with deadline(2.0):
         code, out, err = run(capsys, "bounds", "-r", "2", "-l", str(level), "-g", "2")

@@ -116,20 +116,27 @@ def test_bound_report_fields():
 
 
 def test_bound_report_past_budget_refused_cheaply(monkeypatch):
-    # At l = 13 the window (P_k, P_{k+1}^2) spans about 3e14 integers, so
-    # the count is refused.  Finding P_k and P_{k+1} (k ~ 1.1e6) must not
-    # leave a table of a million Python ints behind: the primes up to
-    # sqrt(P_13#) take 9 MB as one int64 array.
+    # At l = 13 and 14 the window (P_k, P_{k+1}^2) spans about 3e14 and
+    # 1.3e16 integers, so the count is refused.  P_k and P_{k+1} (k ~ 1.1e6
+    # and 6.5e6) come from is_prime on either side of sqrt(P_l#), and the
+    # window is refused before anything is sieved: no table of a million
+    # Python ints, and no int64 array of the primes up to sqrt(P_l#),
+    # 9 MB at l = 13 and 52 MB at l = 14.
+    def no_pass(*args):
+        raise AssertionError("a sieve pass ran before the refusal")
+
     monkeypatch.setattr(arith, "_PRIMES", [])
     monkeypatch.setattr(arith, "_PRIMORIALS", [])
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="sieve budget"):
-            bound_report(2, 13, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2**20
+    monkeypatch.setattr(arith, "strike_segments", no_pass)
+    for l in (13, 14):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="sieve budget"):
+                bound_report(2, l, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, l
     assert len(arith._PRIMES) < 100
 
 

@@ -22,7 +22,9 @@ from polignac import arith, wheel
 from polignac.arith import nth_prime, prime_count_pi, primorial
 from polignac.census import find_root_pair, gap_census
 from polignac.cli import main
-from polignac.primepairs import actual_pair_count, find_pair_above
+from polignac.primepairs import (
+    actual_pair_count, bound_report, find_pair_above, theorem3_lower_bound,
+)
 from conftest import oracle_primes, oracle_prospective
 
 SEG = 64
@@ -121,7 +123,7 @@ def test_prime_segments_odd_only(monkeypatch, segment, lo):
     monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
     primes = oracle_primes(3000)
     for hi in (0, 1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 120, 121, 1001, 1024, 2999, 3000):
-        got = [int(p) for part in arith.prime_segments(lo, hi) for p in part]
+        got = [start + int(p) for start, part in arith.prime_segments(lo, hi) for p in part]
         assert got == [p for p in primes if lo <= p <= hi], (lo, hi)
 
 
@@ -135,8 +137,8 @@ def test_prime_segments_survive_consumer_writes(monkeypatch, segment):
     primes = oracle_primes(3000)
     for lo, hi in ((0, 3000), (2, 1000), (30, 2999), (54, 2916)):  # lo <= sqrt(hi)
         got = []
-        for part in arith.prime_segments(lo, hi):
-            got += part.tolist()
+        for start, part in arith.prime_segments(lo, hi):
+            got += [start + p for p in part.tolist()]
             part[:] = 0
         assert got == [p for p in primes if lo <= p <= hi], (lo, hi)
 
@@ -292,6 +294,87 @@ def test_find_pair_above_refused_through_base_pass():
         find_pair_above(2, m, m + 100, budget=9899)
 
 
+# Refusal thresholds in closed form.  sieve_primes(L) strikes
+# (isqrt(L), L], and the base passes below it span less.  prime_segments'
+# range pass is [max(lo, isqrt(hi) + 1), hi], and its base pass is
+# sieve_primes(isqrt(hi)).  Messages may name either pass; only whether a
+# call is refused is checked.
+THRESHOLD_BUDGETS = [1, 5, 10, 50, 100, 1000, 9899, 9900]
+THRESHOLD_LIMITS = [2, 3, 100, 10**4, 10**6]
+
+
+def sieve_span(limit):
+    return limit - math.isqrt(limit)
+
+
+@pytest.mark.parametrize("budget", THRESHOLD_BUDGETS)
+def test_refusal_thresholds(budget):
+    for limit in THRESHOLD_LIMITS:
+        if sieve_span(limit) > budget:
+            with pytest.raises(ValueError, match="sieve budget"):
+                arith.sieve_primes(limit, budget)
+        else:
+            assert arith.sieve_primes(limit, budget).tolist() == oracle_primes(limit)
+        root = math.isqrt(limit)
+        for lo in sorted({0, limit // 2, max(limit - 10, 0)}):
+            refused = limit - max(lo, root + 1) + 1 > budget or sieve_span(root) > budget
+            if refused:
+                with pytest.raises(ValueError, match="sieve budget"):
+                    list(arith.prime_segments(lo, limit, budget))
+            else:
+                list(arith.prime_segments(lo, limit, budget))
+
+
+def test_prime_segments_refuse_range_before_base(monkeypatch):
+    # The range pass spans 2^28 + 1 integers: it is refused before the
+    # base primes to sqrt(hi) are sieved.
+    def no_base(*args):
+        raise AssertionError("base primes sieved before the range was checked")
+
+    monkeypatch.setattr(arith, "sieve_primes", no_base)
+    with pytest.raises(ValueError, match="sieve budget"):
+        next(arith.prime_segments(10**9, 10**9 + 2**28))
+
+
+# Up to SEGMENT_SIZE, sieve_primes is one kernel call on one mask per
+# level of its recursion, with no segmented pass.
+def test_sieve_primes_base_case_needs_no_segments(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("a segmented pass ran")
+
+    primes = oracle_primes(2**21)
+    monkeypatch.setattr(arith, "strike_segments", no_pass)
+    for n in [*range(3000), 2**21 - 1, 2**21]:
+        assert arith.sieve_primes(n).tolist() == primes[: bisect.bisect_right(primes, n)], n
+
+
+# Segmented passes per call: every base prime a call needs takes the
+# one-mask path, so only a range past sqrt(hi) costs a pass.
+@pytest.mark.parametrize(
+    "call, passes",
+    [
+        (lambda: bound_report(2, 8, 2), 1),
+        (lambda: find_pair_above(4, 89108550, 99056789), 1),
+        (lambda: theorem3_lower_bound(2, 6, 2), 0),
+        (lambda: nth_prime(2000), 0),
+    ],
+    ids=["bound_report", "find_pair_above", "theorem3_lower_bound", "nth_prime"],
+)
+def test_strike_segments_passes(monkeypatch, call, passes):
+    counted = []
+    strike = arith.strike_segments
+
+    def counting(*args):
+        counted.append(args[:2])
+        return strike(*args)
+
+    monkeypatch.setattr(arith, "_PRIMES", [])
+    monkeypatch.setattr(arith, "_PRIMORIALS", [])
+    monkeypatch.setattr(arith, "strike_segments", counting)
+    call()
+    assert len(counted) == passes, counted
+
+
 # A search strikes only what it reads: a pass's first segment spans 2^12
 # integers and each later one doubles, so a pair a few values in costs
 # one small segment, not a whole SEGMENT_SIZE one.  The flags of every
@@ -437,5 +520,5 @@ def trial_division_primes(lo, hi):
 def test_prime_segments_one_hit_scatter(monkeypatch, segment, lo, hi):
     if segment:
         monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
-    got = [int(p) for part in arith.prime_segments(lo, hi) for p in part]
+    got = [start + int(p) for start, part in arith.prime_segments(lo, hi) for p in part]
     assert got == trial_division_primes(lo, hi)
