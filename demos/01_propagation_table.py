@@ -5,7 +5,7 @@ level-5 window.
 Run:  python3 demos/01_propagation_table.py
 """
 
-from polignac.census import classify_propagation, propagation_table
+from polignac.census import classify_propagation, table1
 from polignac.wheel import mhat
 
 TRIPLE = (113, 121, 127)
@@ -17,7 +17,7 @@ for p in TRIPLE:
     d = mhat(p, LEVEL + 1)
     print(f"  mhat({p}) = {d.value}   (alpha = {d.alpha})")
 
-table = propagation_table(TRIPLE, LEVEL)
+table = table1()
 print("\nFull table — bracketed entries are composite, m^ marks the")
 print("disallowed residue of that row:\n")
 print(table.render_text())

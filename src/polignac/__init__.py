@@ -7,19 +7,16 @@ from .census import (
     PairLineage,
     PropagationCase,
     classify_propagation,
-    consecutive_pairs,
     derive_pairs,
     distribution_ratio,
     find_root_pair,
     gap_census,
     mhat_delta,
-    per_subset_pair_census,
     predicted_derived_count,
-    propagation_table,
     subset_gap_spectrum,
     table1,
 )
-from .codec import CoeffVector, decode, encode, is_admissible
+from .codec import CoeffVector, decode, encode
 from .primepairs import (
     BoundReport,
     actual_pair_count,

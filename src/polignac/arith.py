@@ -22,9 +22,10 @@ wheel holds 2), in ``prime_segments`` a copy of the odd base primes up
 to sqrt(hi), and in ``sieve_primes`` the odd primes up to sqrt(limit).
 Every pass's base primes come from ``sieve_primes``, which up to
 SEGMENT_SIZE is one odd-only mask struck by one kernel call, and above
-it joins the (start, offsets) segments of ``prime_segments``.
-``nth_prime`` and ``primorial`` read a list of primes that
-``sieve_primes`` fills.  ``prime_count_pi`` sieves nothing: it runs
+it writes the (start, offsets) segments of ``prime_segments`` into one
+array of pi(limit) primes.  ``nth_prime`` and ``primorial`` read a list
+of primes that ``sieve_primes`` fills, by one sieve sized by Rosser's
+bound on the n-th prime.  ``prime_count_pi`` sieves nothing: it runs
 Lucy's recursion over the values x // i, one update per prime up to
 icbrt(x) and one vectorised step for all the primes above it.
 
@@ -253,13 +254,23 @@ def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> np.ndarray:
     level of the recursion is one kernel call on the square root of the
     level before.  Above SEGMENT_SIZE, where one mask is slower than
     segments and needs more memory, the segments of ``prime_segments``
-    are joined.  Either way the pass over (isqrt(limit), limit] is held
-    to budget before anything is allocated.
+    are written into one array of pi(limit) primes, so the peak is the
+    result and one segment.  The first segment is drawn before pi is
+    counted, so the pass's refusals come first.  Either way the pass
+    over (isqrt(limit), limit] is held to budget before anything is
+    allocated.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit > SEGMENT_SIZE:
-        return np.concatenate([start + offsets for start, offsets in prime_segments(2, limit, budget)])
+        segments = prime_segments(2, limit, budget)
+        first = next(segments)  # the pass's refusals come before pi is counted
+        primes = np.empty(prime_count_pi(limit, budget), dtype=np.int64)
+        done = 0
+        for start, offsets in itertools.chain([first], segments):
+            np.add(offsets, start, out=primes[done : done + len(offsets)])
+            done += len(offsets)
+        return primes
     root = math.isqrt(limit)
     _require_span(root + 1, limit, budget)
     odd = sieve_primes(root, budget)[1:]
@@ -269,16 +280,18 @@ def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> np.ndarray:
 
 
 # The first primes in order, and the primorials of the first ones; both
-# grow on demand, the primes by re-sieving to twice the previous limit.
+# grow on demand, the primes by one sieve per growth.
 _PRIMES: list[int] = []
 _PRIMORIALS: list[int] = []
 
 
 def _sieve_first(count: int) -> None:
-    limit = 2 * _PRIMES[-1] if _PRIMES else 64
-    while len(_PRIMES) < count:
-        _PRIMES[:] = sieve_primes(limit).tolist()
-        limit *= 2
+    """Fill the table with at least count primes by one sieve, to
+    Rosser's bound p_n < n (ln n + ln ln n) for n >= 6 (1941).  n is at
+    least twice the table's length, so repeated growth stays linear; a
+    count whose sieve is past the budget is refused before it runs."""
+    n = max(count, 2 * len(_PRIMES), 6)
+    _PRIMES[:] = sieve_primes(int(n * (math.log(n) + math.log(math.log(n)))) + 1).tolist()
 
 
 def nth_prime(i: int) -> int:

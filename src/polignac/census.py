@@ -1,14 +1,15 @@
 """Gap censuses, gap propagation, and pair-lineage counting.
 
-Covers: consecutive-pair streams and their gap histograms (read from
+Covers: gap histograms of consecutive prospective primes (read from
 ``arith.segment_gaps`` over ``wheel.prospective_segments``),
 the four-case classification of what one propagation step does to a pair
 of adjacent gaps, exhaustive lineage trees for a single root pair with
 the closed-form count they must match, the search for a lineage's root
 pair among the window's first budget integers (by
-``arith.first_pair_with_gap``), subset boundary-gap spectra, per-subset
-minimum counts, and the constant separation of the two disallowed
-indices attached to a gap-g pair.
+``arith.first_pair_with_gap``), subset boundary-gap spectra, and the
+constant separation of the two disallowed indices attached to a gap-g
+pair.  The per-subset minimum of a root pair's descendants is checked by
+``checks.check_per_subset_minima``.
 
 A lineage tree grows level by level as LineageLeaf tuples, each node
 built once.  mhat is linear, so one mhat call per level gives every
@@ -24,7 +25,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .wheel import (
     mhat,
     prospective_segments,
     subset_extremes,
-    subset_of,
 )
 
 # Spans wider than this make the lineage tree explode (product of
@@ -46,7 +46,7 @@ LINEAGE_CAP = 4
 
 
 # ---------------------------------------------------------------------------
-# consecutive pairs and gap censuses
+# gap censuses
 
 @dataclass
 class GapCensus:
@@ -62,20 +62,6 @@ class GapCensus:
             "scope": self.scope,
             "entries": {str(g): str(c) for g, c in sorted(self.entries.items())},
         }
-
-
-def consecutive_pairs(
-    k: int, lo: int | None = None, hi: int | None = None
-) -> Iterator[tuple[int, int, int]]:
-    """Adjacent prospective primes of level k in [lo, hi] with their gaps.
-
-    Pairs straddling subset boundaries are included; adjacency is taken
-    within the requested range.
-    """
-    for base, gaps in segment_gaps(prospective_segments(k, lo, hi)):
-        for gap in gaps.tolist():
-            yield base, base + gap, gap
-            base += gap
 
 
 def gap_census(
@@ -343,47 +329,6 @@ def subset_gap_spectrum(k: int) -> list[int]:
     return [extremes[m][0] - extremes[m - 1][1] for m in range(1, p_k)]
 
 
-@dataclass
-class PerSubsetCensus:
-    """Lineage-derived gap-g pairs per subset of the level-k window,
-    against the per-subset lower bound (P_{k-1} - 4) * n(k-2)."""
-
-    root: tuple[int, int]
-    root_level: int
-    level: int
-    gap: int
-    counts: list[int]
-    bound: int
-
-    @property
-    def holds(self) -> bool:
-        return all(c >= self.bound for c in self.counts)
-
-
-def per_subset_pair_census(
-    l: int,
-    k: int,
-    g: int,
-    root: tuple[int, int] | None = None,
-) -> PerSubsetCensus:
-    """Count one root pair's descendants landing in each subset of the
-    level-k window (pair located by its lower component)."""
-    if k <= l + 2:
-        raise ValueError(f"need k > l + 2, got l={l}, k={k}")
-    if root is None:
-        root = find_root_pair(l, g)
-        if root is None:
-            raise ValueError(f"no gap-{g} pair at level {l}")
-    lineage = derive_pairs(root, l, k)
-    counts = [0] * nth_prime(k)
-    for leaf in lineage.leaves:
-        counts[subset_of(leaf.pair[0], k)] += 1
-    bound = (nth_prime(k - 1) - 4) * predicted_derived_count(l, k - 2, g)
-    return PerSubsetCensus(
-        root=root, root_level=l, level=k, gap=g, counts=counts, bound=bound
-    )
-
-
 def mhat_delta(k: int, g: int) -> int:
     """Constant separation (mhat' - mhat) mod P_k shared by every gap-g
     pair propagating into level k.  mhat is linear in p, so the
@@ -467,11 +412,10 @@ class PropagationTable:
         )
 
 
-def propagation_table(
-    triple: tuple[int, int, int] = (113, 121, 127), k: int = 4
-) -> PropagationTable:
-    """Propagate a consecutive triple from level k into level k+1,
-    residue by residue."""
+def table1() -> PropagationTable:
+    """The worked propagation of the consecutive triple (113, 121, 127)
+    from level 4 into level 5, residue by residue."""
+    triple, k = (113, 121, 127), 4
     p, p2, p3 = triple
     g, g2 = p2 - p, p3 - p2
     p_next = nth_prime(k + 1)
@@ -512,8 +456,3 @@ def propagation_table(
         gap_second=gap_second,
         merged=merged,
     )
-
-
-def table1() -> PropagationTable:
-    """The worked propagation of (113, 121, 127) from level 4 to 5."""
-    return propagation_table()

@@ -1,6 +1,10 @@
 """Bounded verification sweep: every counting identity, spectrum shape,
 and inequality the library promises, re-checked empirically up to a
-maximum level.  Used by `polignac verify` and the test suite.
+maximum level.  Used by `polignac verify` and the test suite.  Two of
+the checks are the paper's claims that nothing else computes: every
+subset of the level-k window holds at least (P_{k-1} - 4) n(k - 2)
+descendants of a root pair (``check_per_subset_minima``), and the sieve
+finds k = pi(sqrt(P_l#)) (``check_bounds_vs_reality``).
 
 Each ``check_*`` function takes the maximum level and returns None when
 its check passes, or the failure's detail; ``run_all`` names each result
@@ -8,6 +12,7 @@ after its function, ``check_twin_counts`` giving ``twin-counts``."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -15,7 +20,6 @@ from typing import Callable, Iterator
 from .arith import nth_prime, primorial
 from .census import (
     derive_pairs,
-    consecutive_pairs,
     find_root_pair,
     gap_census,
     distribution_ratio,
@@ -28,9 +32,10 @@ from .primepairs import (
     bound_report,
     consecutive_primes_as_prospective,
     growth_ratio,
+    k_for_level,
     verify_prospective_below_square,
 )
-from .wheel import mhat, prospective_segments
+from .wheel import enumerate_prospective, mhat, prospective_segments, subset_of
 
 
 @dataclass
@@ -85,13 +90,28 @@ def check_subset_gap_spectrum(max_level: int) -> str | None:
     return None
 
 
+def check_per_subset_minima(max_level: int) -> str | None:
+    """Every subset of the level-k window holds at least
+    (P_{k-1} - 4) * n(k - 2) descendants of the twin root (5, 7) of
+    level 2, n(j) its descendant count at level j; the lineage cap of 4
+    stops k at 6."""
+    for k in range(5, min(max_level, 6) + 1):
+        counts = [0] * nth_prime(k)
+        for leaf in derive_pairs((5, 7), 2, k).leaves:
+            counts[subset_of(leaf.pair[0], k)] += 1
+        bound = (nth_prime(k - 1) - 4) * predicted_derived_count(2, k - 2, 2)
+        if min(counts) < bound:
+            return f"k={k}: {min(counts)} < {bound}"
+    return None
+
+
 def check_mhat_delta(max_level: int) -> str | None:
     """(mhat' - mhat) mod P_k identical across all gap-g pairs."""
     for k in range(4, min(max_level, 6) + 1):
         for g in range(2, 13, 2):
             expected = mhat_delta(k, g)
-            for p, p2, gap in consecutive_pairs(k - 1):
-                if gap != g:
+            for p, p2 in itertools.pairwise(enumerate_prospective(k - 1)):
+                if p2 - p != g:
                     continue
                 delta = (mhat(p2, k).value - mhat(p, k).value) % nth_prime(k)
                 if delta != expected:
@@ -110,7 +130,9 @@ def check_below_square(max_level: int) -> str | None:
 
 
 def check_bounds_vs_reality(max_level: int) -> str | None:
-    """Pair lower bounds hold against sieve counts where their premises do."""
+    """Pair lower bounds hold against sieve counts where their premises
+    do, and the sieve's k, the number of primes up to sqrt(P_l#), is
+    pi(sqrt(P_l#)) by Lucy's recursion."""
     for l in range(3, min(max_level, 5) + 1):
         for g in (2, 4, 6):
             r = 2 if g == 2 else 3  # least level holding a gap-g pair
@@ -119,6 +141,8 @@ def check_bounds_vs_reality(max_level: int) -> str | None:
             report = bound_report(r, l, g)
             if not report.holds:
                 return f"r={r} l={l} g={g}: {report.observed} < {report.bound}"
+            if report.k != (k := k_for_level(l)):
+                return f"l={l}: sieved k={report.k} != pi k={k}"
     return None
 
 
@@ -161,6 +185,7 @@ ALL_CHECKS: tuple[Callable[[int], str | None], ...] = (
     check_twin_counts,
     check_lineage_counts,
     check_subset_gap_spectrum,
+    check_per_subset_minima,
     check_mhat_delta,
     check_below_square,
     check_bounds_vs_reality,

@@ -2,7 +2,9 @@
 
 Subcommands: gen, census, lineage, verify, subset-gaps, table1, bounds,
 ratios, find-pair, export; ``export census`` is ``census`` with csv as
-its default format.
+its default format.  ``verify`` runs every check of ``checks.ALL_CHECKS``
+up to ``--max-level``; ``verify --all`` is accepted and ignored.  Both
+stay while perfbench's cli workload runs them.
 
 Every subcommand returns an ``Output``: its JSON payload, its text
 rendering, its csv rendering where ``--format csv`` is offered (gen and
@@ -63,19 +65,6 @@ def _parse_range(spec: str | None) -> tuple[int | None, int | None]:
         return int(lo), int(hi)
     except ValueError:
         raise ValueError(f"--range must be LO:HI, two integers, got {spec!r}") from None
-
-
-def parse_census_csv(text: str) -> census_mod.GapCensus:
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != "level,scope,gap,count":
-        raise ValueError("not a census CSV")
-    entries: dict[int, int] = {}
-    level, scope = 0, "full"
-    for line in lines[1:]:
-        lvl, scope, gap, count = line.split(",")  # ValueError unless 4 fields
-        level = int(lvl)
-        entries[int(gap)] = int(count)
-    return census_mod.GapCensus(level=level, scope=scope, entries=entries)
 
 
 def _cmd_gen(args) -> Output:

@@ -6,7 +6,7 @@ Every n in the level-k window with gcd(n, 6) = 1 decomposes uniquely as
 
 (base 5 for n = 5 mod 6, base 7 for n = 1 mod 6).  The digit vector is
 admissible exactly when the decoded value is coprime to P_k#, i.e. the
-number is a prospective prime at level k.
+number is a prospective prime at level k: is_prospective(decode(cv), k).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 from .arith import nth_prime, primorial
-from .wheel import is_prospective
 
 
 @dataclass(frozen=True)
@@ -35,13 +34,6 @@ class CoeffVector:
         for j, digit in enumerate(self.digits, start=3):
             if not 0 <= digit <= nth_prime(j) - 1:
                 raise ValueError(f"digit m_{j}={digit} outside [0, {nth_prime(j) - 1}]")
-
-    def to_json_dict(self) -> dict:
-        return {"base": self.base, "digits": list(self.digits), "level": self.level}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CoeffVector":
-        return cls(base=obj["base"], digits=tuple(obj["digits"]), level=obj["level"])
 
 
 def encode(n: int, k: int) -> CoeffVector:
@@ -64,9 +56,3 @@ def decode(cv: CoeffVector) -> int:
     return cv.base + sum(
         digit * primorial(j - 1) for j, digit in enumerate(cv.digits, start=3)
     )
-
-
-def is_admissible(cv: CoeffVector) -> bool:
-    """True iff the decoded value is a prospective prime at cv.level,
-    i.e. the digits dodged every level's disallowed pair."""
-    return is_prospective(decode(cv), cv.level)

@@ -14,7 +14,8 @@ P_k and P_{k+1} with ``arith.is_prime`` on either side of sqrt(P_l#)
 and counts the window, so a window past the sieve budget is refused
 before anything is sieved.  ``k_for_level`` gives the same k by
 ``arith.prime_count_pi``, which sieves nothing and so reaches levels
-whose sqrt(P_l#) is past the sieve budget.
+whose sqrt(P_l#) is past the sieve budget; ``verify`` checks that the
+two agree.
 
 The pair count and the pair search read the gaps between consecutive
 primes from ``arith.segment_gaps`` over the (start, offsets) segments
@@ -227,11 +228,12 @@ def verify_prospective_below_square(k: int) -> SquareReport:
 
     Coprimality to P_k# extends periodically past the window, so the
     scan keeps going beyond it when the window ends before the square
-    (which happens at k = 3)."""
+    (which happens at k = 3).  The scan reads odd values only, from the
+    first one above P_k (3 at k = 1, where P_1 = 2 is even)."""
     p_k = nth_prime(k)
     wheel = primorial(k)
     square = nth_prime(k + 1) ** 2
-    n = p_k + 2
+    n = (p_k + 1) | 1
     while math.gcd(n, wheel) != 1 or is_prime(n):
         n += 2
     return SquareReport(level=k, holds=n >= square, least_composite=n)

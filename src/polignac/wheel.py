@@ -162,8 +162,11 @@ def subset_extremes(k: int, m: int) -> tuple[int, int]:
     """(least, greatest) prospective prime in subset m of the level-k
     window.  Each end is scanned value by value: the scan stops at the
     first prospective prime, a few values in, where a sieve would cover
-    the subset's P_{k-1}# integers."""
+    the subset's P_{k-1}# integers.  A subset with no prospective prime,
+    [9, 10] at level 2, is refused."""
     lo, hi = WheelWindow(k).subset(m)
-    least = next(n for n in range(lo, hi + 1) if is_prospective(n, k))
+    least = next((n for n in range(lo, hi + 1) if is_prospective(n, k)), None)
+    if least is None:
+        raise ValueError(f"subset {m} of the level-{k} window holds no prospective prime")
     greatest = next(n for n in range(hi, lo - 1, -1) if is_prospective(n, k))
     return least, greatest

@@ -3,6 +3,7 @@ pass/fail line (run with `pytest -s tests/test_acceptance.py` to see
 them).  Expected values are frozen from closed forms or independent
 brute force; tolerances are fixed here, not tuned."""
 
+import itertools
 import json
 import math
 import random
@@ -14,11 +15,9 @@ import pytest
 
 from polignac.arith import nth_prime, primorial
 from polignac.census import (
-    consecutive_pairs,
     derive_pairs,
     find_root_pair,
     gap_census,
-    per_subset_pair_census,
     predicted_derived_count,
     subset_gap_spectrum,
     table1,
@@ -33,7 +32,7 @@ from polignac.primepairs import (
     theorem3_lower_bound,
     verify_prospective_below_square,
 )
-from polignac.wheel import enumerate_prospective, mhat
+from polignac.wheel import enumerate_prospective, mhat, subset_of
 
 FIXTURE = Path(__file__).parent / "data" / "table1.json"
 
@@ -127,9 +126,10 @@ def test_criterion_5_subset_gap_spectra():
 
 def test_criterion_6_per_subset_minima():
     for k, bound in ((5, 9), (6, 105)):
-        census = per_subset_pair_census(2, k, 2)
-        assert census.bound == bound
-        assert min(census.counts) >= bound
+        assert (nth_prime(k - 1) - 4) * predicted_derived_count(2, k - 2, 2) == bound
+        counts = Counter(subset_of(leaf.pair[0], k) for leaf in derive_pairs((5, 7), 2, k).leaves)
+        assert len(counts) == nth_prime(k)
+        assert min(counts.values()) >= bound
     report("criterion-6 per-subset minima S_5 >= 9, S_6 >= 105")
 
 
@@ -178,8 +178,8 @@ def test_criterion_10_mhat_delta_constancy():
         p_k = nth_prime(k)
         for g in range(2, 13, 2):
             expected = mhat_delta(k, g)
-            for p, p2, gap in consecutive_pairs(k - 1):
-                if gap == g:
+            for p, p2 in itertools.pairwise(enumerate_prospective(k - 1)):
+                if p2 - p == g:
                     assert (mhat(p2, k).value - mhat(p, k).value) % p_k == expected
     report("criterion-10 delta-mhat constancy k=4..6, g<=12")
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from collections import Counter
@@ -6,25 +7,23 @@ from pathlib import Path
 
 import pytest
 
-from polignac import arith, census
+from polignac import arith, census, checks
 from polignac.arith import nth_prime, primorial
 from polignac.census import (
     LineageLeaf,
     LineageStep,
     PropagationCase,
     classify_propagation,
-    consecutive_pairs,
     derive_pairs,
     distribution_ratio,
     find_root_pair,
     gap_census,
     mhat_delta,
-    per_subset_pair_census,
     predicted_derived_count,
     subset_gap_spectrum,
     table1,
 )
-from polignac.wheel import is_prospective, mhat, subset_of
+from polignac.wheel import enumerate_prospective, is_prospective, mhat, prospective_segments, subset_of
 from conftest import oracle_lineage, oracle_prospective
 
 FIXTURE = Path(__file__).parent / "data" / "table1.json"
@@ -34,15 +33,18 @@ FIXTURE = Path(__file__).parent / "data" / "table1.json"
 # pairs and censuses
 
 def test_consecutive_pairs_small():
-    pairs = list(consecutive_pairs(3))
-    assert [g for _, _, g in pairs] == [4, 2, 4, 2, 4, 6, 2]
-    assert list(consecutive_pairs(2)) == [(5, 7, 2)]
+    # The gap stream the censuses read: (base, gaps) chunks.
+    chunks = list(arith.segment_gaps(prospective_segments(3)))
+    assert [g for _, gaps in chunks for g in gaps.tolist()] == [4, 2, 4, 2, 4, 6, 2]
+    assert [(base, gaps.tolist()) for base, gaps in arith.segment_gaps(prospective_segments(2))] == [
+        (5, [2])
+    ]
 
 
 def test_consecutive_pairs_range():
-    pairs = list(consecutive_pairs(4, 95, 130))
-    assert (113, 121, 8) in pairs
-    assert (121, 127, 6) in pairs
+    pairs = list(itertools.pairwise(enumerate_prospective(4, 95, 130)))
+    assert (113, 121) in pairs
+    assert (121, 127) in pairs
 
 
 def test_gap_census_examples():
@@ -358,19 +360,19 @@ def test_subset_gap_spectrum_shape(k):
     assert sorted(subset_gap_spectrum(k)) == [p_k - 1] * (p_k - 2) + [p_k + 1]
 
 
-def test_per_subset_pair_census_examples():
-    c5 = per_subset_pair_census(2, 5, 2)
-    assert c5.bound == 9
-    assert len(c5.counts) == 11
-    assert c5.holds
-
-    with pytest.raises(ValueError):
-        per_subset_pair_census(2, 4, 2)
-
-    c6 = per_subset_pair_census(2, 6, 2)
-    assert c6.bound == 105
-    assert len(c6.counts) == 13
-    assert c6.holds
+def test_per_subset_pair_census_examples(monkeypatch):
+    # The descendants of the twin root (5, 7) per subset: at least
+    # (P_4 - 4) n(3) = 3 * 3 = 9 in each of the 11 subsets at level 5, and
+    # (P_5 - 4) n(4) = 7 * 15 = 105 in each of the 13 at level 6.
+    for k, subsets, bound, least in ((5, 11, 9, 11), (6, 13, 105, 112)):
+        counts = Counter(subset_of(leaf.pair[0], k) for leaf in derive_pairs((5, 7), 2, k).leaves)
+        assert sorted(counts) == list(range(subsets))
+        assert min(counts.values()) == least >= bound
+    assert checks.check_per_subset_minima(6) is None
+    # The check reads the bound from the closed form: raise the closed
+    # form past the least count, and the check fails on it.
+    monkeypatch.setattr(checks, "predicted_derived_count", lambda l, k, g: 4)
+    assert checks.check_per_subset_minima(6) == "k=5: 11 < 12"
 
 
 def test_mhat_delta_examples():
@@ -385,8 +387,8 @@ def test_mhat_delta_constant_across_pairs(k):
     for g in range(2, 13, 2):
         expected = mhat_delta(k, g)
         seen = False
-        for p, p2, gap in consecutive_pairs(k - 1):
-            if gap != g:
+        for p, p2 in itertools.pairwise(enumerate_prospective(k - 1)):
+            if p2 - p != g:
                 continue
             seen = True
             assert (mhat(p2, k).value - mhat(p, k).value) % p_k == expected

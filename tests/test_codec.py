@@ -1,12 +1,16 @@
-import json
 import math
 import random
 
 import pytest
 
 from polignac.arith import primorial
-from polignac.codec import CoeffVector, decode, encode, is_admissible
-from polignac.wheel import enumerate_prospective
+from polignac.codec import CoeffVector, decode, encode
+from polignac.wheel import enumerate_prospective, is_prospective
+
+
+def is_admissible(cv):
+    """The codec's admissibility: the decoded value is prospective."""
+    return is_prospective(decode(cv), cv.level)
 
 
 def test_encode_examples():
@@ -89,10 +93,3 @@ def test_admissible_set_equals_prospective_stream(k):
         if is_admissible(cv := CoeffVector(base, tuple(digits), k))
     )
     assert admissible == list(enumerate_prospective(k))
-
-
-def test_json_round_trip():
-    cv = encode(2221, 5)
-    blob = json.dumps(cv.to_json_dict(), sort_keys=True)
-    assert CoeffVector.from_json_dict(json.loads(blob)) == cv
-    assert json.loads(blob) == {"base": 7, "digits": [4, 3, 10], "level": 5}

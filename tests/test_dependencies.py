@@ -1,6 +1,7 @@
 """The package imports only the standard library and numpy, reads no
 environment variable (the sieve budget is set by ``--budget`` alone),
-and computes nothing at import."""
+computes nothing at import, and has no public name that only its own
+tests reach."""
 
 import ast
 import os
@@ -59,3 +60,45 @@ def test_import_sieves_nothing():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.split() == ["0", "0"]
+
+
+def _public_definitions(module):
+    """Public top-level functions, classes and constants of a module."""
+    for node in ast.parse(module.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def _references(path):
+    """Every name a file reads: names, attributes, imported names, and
+    strings that are identifiers (perfbench names what it traces as
+    strings)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def test_every_public_name_is_reached():
+    # A public name that only its own tests call is code to delete, or a
+    # claim to check from `verify`.  The package's __init__ re-exports
+    # names, which reaches nothing.
+    root = Path(polignac.__file__).parent.parent.parent
+    readers = [m for m in MODULES if m.name != "__init__.py"]
+    readers += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    reached = {name for path in readers for name in _references(path)}
+    defined = {name for m in MODULES if m.name != "__init__.py" for name in _public_definitions(m)}
+    unreached = sorted(defined - reached)
+    assert not unreached, f"public names that nothing reaches: {unreached}"

@@ -20,7 +20,7 @@ from polignac import arith
 from polignac.arith import primorial
 from polignac.census import derive_pairs, find_root_pair, gap_census, predicted_derived_count
 from polignac.cli import main
-from polignac.codec import decode, encode, is_admissible
+from polignac.codec import decode, encode
 from polignac.primepairs import bound_report
 from polignac.wheel import enumerate_prospective, is_prospective, mhat
 from conftest import mhat_by_alpha_search, oracle_prospective
@@ -43,7 +43,7 @@ def test_codec_round_trip(member):
     assert math.gcd(n, 6) == 1 and 5 <= n <= 4 + primorial(k)
     cv = encode(n, k)
     assert decode(cv) == n
-    assert is_admissible(cv) == (math.gcd(n, primorial(k)) == 1)
+    assert is_prospective(decode(cv), k) == (math.gcd(n, primorial(k)) == 1)
 
 
 @FEW

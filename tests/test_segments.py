@@ -348,6 +348,26 @@ def test_sieve_primes_base_case_needs_no_segments(monkeypatch):
         assert arith.sieve_primes(n).tolist() == primes[: bisect.bisect_right(primes, n)], n
 
 
+def test_sieve_primes_large_path_across_segments(small_segments):
+    primes = oracle_primes(5000)
+    for n in (SEG + 1, 1000, 4096, 4999, 5000):
+        assert arith.sieve_primes(n).tolist() == primes[: bisect.bisect_right(primes, n)], n
+
+
+# Above SEGMENT_SIZE the segments are written into one array sized by
+# pi(limit): the peak is the result and about one segment, not twice the
+# result, as joining a list of segments would take.
+def test_sieve_primes_large_path_peaks_near_its_result():
+    tracemalloc.start()
+    try:
+        primes = arith.sieve_primes(3 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primes) == 1857859 and primes[-1] == 29999999
+    assert peak <= primes.nbytes + 4 * 2**20
+
+
 # Segmented passes per call: every base prime a call needs takes the
 # one-mask path, so only a range past sqrt(hi) costs a pass.
 @pytest.mark.parametrize(

@@ -128,11 +128,16 @@ def test_subset_extremes_examples():
     assert subset_extremes(4, 3) == (97, 121)
     assert subset_extremes(4, 2) == (67, 89)
     assert subset_extremes(5, 0) == (13, 211)
+    assert subset_extremes(2, 0) == (5, 5)
+    assert subset_extremes(2, 1) == (7, 7)
 
 
 def test_subset_extremes_rejects_bad_subset():
     with pytest.raises(ValueError):
         subset_extremes(4, 7)
+    # Subset 2 of the level-2 window is [9, 10]: 9 = 3^2 and 10 = 2 * 5.
+    with pytest.raises(ValueError, match="subset 2 of the level-2 window holds no"):
+        subset_extremes(2, 2)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
