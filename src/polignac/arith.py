@@ -23,11 +23,12 @@ to sqrt(hi), and in ``sieve_primes`` the odd primes up to sqrt(limit).
 Every pass's base primes come from ``sieve_primes``, which up to
 SEGMENT_SIZE is one odd-only mask struck by one kernel call, and above
 it writes the (start, offsets) segments of ``prime_segments`` into one
-array of pi(limit) primes.  ``nth_prime`` and ``primorial`` read a list
-of primes that ``sieve_primes`` fills, by one sieve sized by Rosser's
-bound on the n-th prime.  ``prime_count_pi`` sieves nothing: it runs
-Lucy's recursion over the values x // i, one update per prime up to
-icbrt(x) and one vectorised step for all the primes above it.
+array sized by Dusart's bound on pi(limit).  ``nth_prime`` and
+``primorial`` read a list of primes that ``sieve_primes`` fills, by one
+sieve sized by Rosser's bound on the n-th prime.  ``prime_count_pi``
+sieves nothing: it runs Lucy's recursion over the values x // i, one
+update per prime up to icbrt(x) and one vectorised step for all the
+primes above it.
 
 ``segment_gaps`` turns a stream of segments into the gaps between
 consecutive values, carried across segment edges; the gap censuses,
@@ -254,23 +255,27 @@ def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> np.ndarray:
     level of the recursion is one kernel call on the square root of the
     level before.  Above SEGMENT_SIZE, where one mask is slower than
     segments and needs more memory, the segments of ``prime_segments``
-    are written into one array of pi(limit) primes, so the peak is the
-    result and one segment.  The first segment is drawn before pi is
-    counted, so the pass's refusals come first.  Either way the pass
-    over (isqrt(limit), limit] is held to budget before anything is
+    are written into one array sized by Dusart's bound,
+    pi(x) <= x / ln x * (1 + 1.2762 / ln x) for x > 1, under 1 %
+    above pi(x) from 2^21 to 10^8, and the filled prefix is returned, so
+    the peak is the result and one segment, and no prime count runs.
+    The first segment is drawn before the array is allocated, so the
+    pass's refusals come first.  Either way the pass over
+    (isqrt(limit), limit] is held to budget before anything is
     allocated.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit > SEGMENT_SIZE:
         segments = prime_segments(2, limit, budget)
-        first = next(segments)  # the pass's refusals come before pi is counted
-        primes = np.empty(prime_count_pi(limit, budget), dtype=np.int64)
+        first = next(segments)  # the pass's refusals come before the array
+        log = math.log(limit)
+        primes = np.empty(int(limit / log * (1 + 1.2762 / log)) + 1, dtype=np.int64)
         done = 0
         for start, offsets in itertools.chain([first], segments):
             np.add(offsets, start, out=primes[done : done + len(offsets)])
             done += len(offsets)
-        return primes
+        return primes[:done]
     root = math.isqrt(limit)
     _require_span(root + 1, limit, budget)
     odd = sieve_primes(root, budget)[1:]

@@ -11,6 +11,18 @@ constant separation of the two disallowed indices attached to a gap-g
 pair.  The per-subset minimum of a root pair's descendants is checked by
 ``checks.check_per_subset_minima``.
 
+A full-window census at level k >= 3 is one propagation step, the first
+step of Holt's recursion on gap shapes ("Combinatorics of the gaps
+between primes").  The level-k window is P_k copies of the level-(k - 1)
+one, and each value is a multiple of P_k in exactly one copy, so over
+the cyclic level-(k - 1) gaps G_i
+
+    C_k(g) = (P_k - 2) #{i : G_i = g} + #{i : G_i + G_{i+1} = g},
+
+less one at the level-k wrap gap P_{k+1} - 1, exact while every
+G_i < 2 P_k.  One pass over the level-(k - 1) window, P_k times fewer
+integers, gives the level-k census; subsets and ranges are sieved.
+
 A lineage tree grows level by level as LineageLeaf tuples, each node
 built once.  mhat is linear, so one mhat call per level gives every
 node's disallowed index; the nodes with the same index share one row of
@@ -22,6 +34,7 @@ frontier come out increasing, and the tree needs no sort.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -71,8 +84,23 @@ def gap_census(
     hi: int | None = None,
     budget: int = SIEVE_BUDGET,
 ) -> GapCensus:
-    """Exact gap histogram over the full window, one subset, or a range:
-    the chunks of ``arith.segment_gaps`` histogrammed with np.bincount.
+    """Exact gap histogram over the full window, one subset, or a range.
+
+    A subset, a range and the full level-2 window are sieved: the chunks
+    of ``arith.segment_gaps`` histogrammed with np.bincount.  A subset
+    spans one copy of the level-(k - 1) window, so it costs what that
+    window does.  The full window at level k >= 3 is not sieved: it
+    follows from one pass over the level-(k - 1) window, P_k times
+    fewer integers, by the identity of ``_one_step_census``,
+
+        C_k(g) = (P_k - 2) #{i : G_i = g} + #{i : G_i + G_{i+1} = g},
+
+    over the cyclic level-(k - 1) gaps G_i, less one at the level-k
+    wrap gap P_{k+1} - 1.  It is exact while every G_i < 2 P_k: the
+    largest gap is 40 at level 9 (2 P_10 = 58) and 46 at level 10
+    (2 P_11 = 62).  That pass spans P_{k-1}# integers and is held to
+    budget as one pass, so the default admits the level-10 census and
+    refuses the level-11 one, naming the level-10 window.
     """
     if subset is not None:
         if lo is not None or hi is not None:
@@ -81,18 +109,77 @@ def gap_census(
         scope = f"subset:{subset}"
     elif lo is not None or hi is not None:
         scope = f"range:{lo}:{hi}"
+    elif k >= 3:
+        return GapCensus(level=k, scope="full", entries=_one_step_census(k, budget))
     else:
         scope = "full"
     counts = np.zeros(0, dtype=np.int64)
     for _, gaps in segment_gaps(prospective_segments(k, lo, hi, budget)):
-        segment = np.bincount(gaps, minlength=len(counts))
-        segment[: len(counts)] += counts
-        counts = segment
+        counts = _tally(counts, gaps)
         # Drop this segment's gaps before the next one is struck, so
         # only one segment's values are alive at a time.
         del gaps
     entries = {int(g): int(counts[g]) for g in np.flatnonzero(counts)}
     return GapCensus(level=k, scope=scope, entries=entries)
+
+
+def _tally(counts: np.ndarray, values) -> np.ndarray:
+    """counts, indexed by value, plus one for each of values."""
+    tally = np.bincount(values, minlength=len(counts))
+    tally[: len(counts)] += counts
+    return tally
+
+
+def _one_step_census(k: int, budget: int) -> dict[int, int]:
+    """The full level-k census, k >= 3, from one pass over the
+    level-(k - 1) window [5, 4 + P_{k-1}#].
+
+    G_0 ... G_{n-1} are the cyclic level-(k - 1) gaps: those of that
+    window, then the wrap gap P_k - 1 from its last value, P_{k-1}# + 1,
+    to the next window's first, P_{k-1}# + P_k.  The level-k window is
+    P_k copies of it, the m-th shifted by m P_{k-1}#, and each value is
+    a multiple of P_k in exactly one copy, its mhat, which drops it.
+    Two adjacent values share that copy only if P_k divides their gap,
+    an even number, so only if the gap is at least 2 P_k.  While every
+    G_i < 2 P_k, each gap survives in P_k - 2 copies, and each dropped
+    value merges the two gaps beside it:
+
+        C_k(g) = (P_k - 2) #{i : G_i = g} + #{i : G_i + G_{i+1} = g},
+
+    with i + 1 taken mod n.  The window [5, 4 + P_k#] leaves out the one
+    level-k wrap gap, P_{k+1} - 1.  A level-(k - 1) gap that P_k divides
+    is refused.  Each chunk's gaps are tallied, then overwritten by the
+    sums of adjacent gaps, and the last gap is carried to the next
+    chunk, so no second array is made.
+    """
+    p = nth_prime(k)
+    singles = pairs = np.zeros(0, dtype=np.int64)
+    seams: list[int] = []  # the pair sums that straddle two chunks
+    first = last = None
+    for _, gaps in segment_gaps(prospective_segments(k - 1, budget=budget)):
+        if not len(gaps):
+            continue
+        singles = _tally(singles, gaps)
+        if last is None:
+            first = int(gaps[0])
+        else:
+            seams.append(last + int(gaps[0]))
+        last = int(gaps[-1])
+        np.add(gaps[:-1], gaps[1:], out=gaps[:-1])
+        pairs = _tally(pairs, gaps[:-1])
+        del gaps
+    wrap = p - 1
+    singles = _tally(singles, [wrap])
+    pairs = _tally(pairs, seams + [last + wrap, wrap + first])
+    if singles[p::p].any():
+        raise ValueError(f"a level-{k - 1} gap is a multiple of P_{k} = {p}: "
+                         f"one propagation step cannot count level {k}")
+    entries: Counter[int] = Counter()
+    for weight, counts in ((p - 2, singles), (1, pairs)):
+        for g in np.flatnonzero(counts).tolist():
+            entries[g] += weight * int(counts[g])
+    entries[nth_prime(k + 1) - 1] -= 1
+    return {g: n for g, n in sorted(entries.items()) if n}
 
 
 def require_gap(g: int) -> None:

@@ -98,17 +98,24 @@ def prospective_segments(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Prospective primes of level k in [lo, hi], increasing, as one
     (start, offsets) pair per segment of the range, as
-    ``arith.strike_segments`` yields them (offsets may be empty)."""
+    ``arith.strike_segments`` yields them (offsets may be empty).
+
+    The range is clamped to the level-k window; a range that misses the
+    window is refused, naming both."""
     if k < 2:
         raise ValueError(f"level must be >= 2, got {k}")
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"range {lo}:{hi} has lo > hi")
     window = WheelWindow(k)
-    lo = window.lo if lo is None else max(lo, window.lo)
-    hi = window.hi if hi is None else min(hi, window.hi)
+    start = window.lo if lo is None else max(lo, window.lo)
+    end = window.hi if hi is None else min(hi, window.hi)
+    if start > end:
+        raise ValueError(
+            f"range {lo}:{hi} misses the level-{k} window [{window.lo}, {window.hi}]"
+        )
     # Every wheel holds 2 (k >= 2), so the odd-only driver strikes P_2..P_k.
     primes = np.array([nth_prime(i) for i in range(2, k + 1)], dtype=np.int64)
-    return strike_segments(lo, hi, primes, budget)
+    return strike_segments(start, end, primes, budget)
 
 
 def enumerate_prospective(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -65,6 +66,59 @@ def test_gap_census_against_oracle():
     members = oracle_prospective(5)
     expected = Counter(b - a for a, b in zip(members, members[1:]))
     assert gap_census(5).entries == dict(expected)
+
+
+# A full window at level k >= 3 is one propagation step from the
+# level-(k - 1) window.  Each census below is checked against the sieve
+# of the explicit level-k range, or against closed forms.
+@pytest.mark.parametrize("k", range(3, 10))
+def test_full_census_equals_sieved_window(k):
+    assert gap_census(k).entries == gap_census(k, lo=5, hi=4 + primorial(k)).entries
+
+
+@pytest.fixture(scope="module")
+def level10():
+    return gap_census(10).entries
+
+
+def test_level10_census_closed_forms(level10):
+    # At the default budget: prod (P_i - 2) twins, prod (P_i - 1) - 1
+    # pairs, and the gaps span the window's values, P_11 to P_10# + 1.
+    assert level10[2] == math.prod(nth_prime(i) - 2 for i in range(3, 11)) == 214708725
+    assert sum(level10.values()) == math.prod(nth_prime(i) - 1 for i in range(1, 11)) - 1
+    assert sum(g * n for g, n in level10.items()) == primorial(10) + 1 - nth_prime(11) == 6469693200
+
+
+@pytest.mark.parametrize("k", range(3, 12))
+def test_one_step_condition_holds(k, level10):
+    # The identity is exact while every level-(k - 1) gap is below 2 P_k;
+    # the wrap gap P_k - 1 is.
+    lower = level10 if k == 11 else gap_census(k - 1).entries
+    assert max(lower) < 2 * nth_prime(k)
+
+
+def test_full_census_sieves_only_the_level_below(monkeypatch):
+    sieved = []
+
+    def recording(k, *args, **kwargs):
+        sieved.append(k)
+        return prospective_segments(k, *args, **kwargs)
+
+    monkeypatch.setattr(census, "prospective_segments", recording)
+    gap_census(6)
+    gap_census(6, subset=2)
+    gap_census(6, lo=100, hi=200)
+    gap_census(2)
+    assert sieved == [5, 6, 6, 2]
+
+
+def test_full_census_budget_is_one_pass_over_the_level_below():
+    assert gap_census(7, budget=primorial(6)).entries == gap_census(7, lo=5, hi=4 + primorial(7)).entries
+    with pytest.raises(ValueError, match="sieve budget"):
+        gap_census(7, budget=primorial(6) - 1)
+    # Level 11 is refused by its level-10 pass, before anything is sieved.
+    with pytest.raises(ValueError, match=f"sieving 5:{4 + primorial(10)} exceeds"):
+        gap_census(11)
 
 
 def test_gap_census_entries_are_plain_ints():
@@ -145,6 +199,17 @@ def least_pairs(l):
     for a, b in zip(members, members[1:]):
         first.setdefault(b - a, (a, b))
     return first
+
+
+# A range is clamped to the window; one that misses it is refused by
+# name, where it used to give an empty census.
+@pytest.mark.parametrize("k, lo, hi", [(3, 0, 4), (3, 35, 10**6), (2, 11, None), (4, None, 4)])
+def test_range_missing_window_refused(k, lo, hi):
+    window = rf"the level-{k} window \[5, {4 + primorial(k)}\]"
+    with pytest.raises(ValueError, match=rf"^range {lo}:{hi} misses {window}$"):
+        gap_census(k, lo=lo, hi=hi)
+    with pytest.raises(ValueError, match=window):
+        next(enumerate_prospective(k, lo, hi))
 
 
 @pytest.mark.parametrize("l, segment", [(4, None), (6, 64), (7, None)])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from polignac import checks, cli
+from polignac.arith import primorial
 from polignac.census import gap_census
 from polignac.cli import main
 from polignac.primepairs import BoundReport
@@ -34,10 +35,33 @@ def test_gen(capsys):
     ],
 )
 def test_gen_empty_range(capsys, fmt, expected):
-    # The level-2 window is [5, 10]: 100:200 holds no value.
-    code, out, _ = run(capsys, "gen", "-k", "2", "--range", "100:200", "--format", fmt)
+    # The level-2 window is [5, 10]: 8:10 lies in it and holds no value.
+    code, out, _ = run(capsys, "gen", "-k", "2", "--range", "8:10", "--format", fmt)
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize(
+    "argv, window",
+    [
+        (["gen", "-k", "2", "--range", "100:200"], "[5, 10]"),
+        (["gen", "-k", "3", "--range", "35:40"], "[5, 34]"),
+        (["census", "-k", "3", "--range", "0:3"], "[5, 34]"),
+        (["census", "-k", "25", "--range", "0:4", "-g", "2"], f"[5, {4 + primorial(25)}]"),
+    ],
+)
+def test_range_missing_window_exits_1(capsys, argv, window):
+    code, out, err = run(capsys, *argv)
+    level, spec = argv[2], argv[4]
+    assert code == 1 and out == ""
+    assert err == f"error: range {spec} misses the level-{level} window {window}\n"
+
+
+@pytest.mark.parametrize("spec", ["1:5", "34:100", "5:5"])
+def test_range_overlapping_window_is_clamped(capsys, spec):
+    # A range that meets the window in one value is answered, not refused.
+    code, out, _ = run(capsys, "census", "-k", "3", "--range", spec, "--format", "json")
+    assert code == 0 and json.loads(out)["entries"] == {}
 
 
 def test_census_gap_count(capsys):

@@ -62,6 +62,33 @@ def test_import_sieves_nothing():
     assert out.split() == ["0", "0"]
 
 
+def test_import_runs_no_package_function():
+    # Defining names is all an import does: no function of the package
+    # runs, so no table, array or constant is computed at import.  A
+    # fresh interpreter traces every call into the package's files;
+    # module and class bodies are not functions (no CO_NEWLOCALS), and
+    # the comprehension that lists __all__ is skipped by its name.
+    src = Path(polignac.__file__).parent
+    probe = (
+        "import inspect, sys\n"
+        "calls = []\n"
+        "def trace(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        f"    if (event == 'call' and code.co_filename.startswith({str(src)!r})\n"
+        "            and code.co_flags & inspect.CO_NEWLOCALS and code.co_name[0] != '<'):\n"
+        "        calls.append(code.co_qualname)\n"
+        "sys.setprofile(trace)\n"
+        "import polignac, polignac.cli\n"
+        "sys.setprofile(None)\n"
+        "print(calls)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src.parent)},
+    ).stdout
+    assert out == "[]\n"
+
+
 def _public_definitions(module):
     """Public top-level functions, classes and constants of a module."""
     for node in ast.parse(module.read_text()).body:

@@ -98,8 +98,9 @@ def census_scope(draw):
         m = draw(st.integers(0, arith.nth_prime(k) - 1))
         return k, ["-m", m], {"subset": m}
     if kind == "range":
+        # A range that misses the window is refused; this one meets it.
         lo = draw(st.integers(0, 4 + primorial(k)))
-        hi = draw(st.integers(lo, lo + 5000))
+        hi = draw(st.integers(max(lo, 5), lo + 5000))
         return k, ["--range", f"{lo}:{hi}"], {"lo": lo, "hi": hi}
     return k, [], {}
 

@@ -354,9 +354,19 @@ def test_sieve_primes_large_path_across_segments(small_segments):
         assert arith.sieve_primes(n).tolist() == primes[: bisect.bisect_right(primes, n)], n
 
 
-# Above SEGMENT_SIZE the segments are written into one array sized by
-# pi(limit): the peak is the result and about one segment, not twice the
-# result, as joining a list of segments would take.
+# Above SEGMENT_SIZE the result array is sized by Dusart's bound on
+# pi(limit), so no prime count runs.
+def test_sieve_primes_large_path_counts_no_primes(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("pi(limit) counted to size the result")
+
+    monkeypatch.setattr(arith, "prime_count_pi", no_count)
+    assert arith.sieve_primes(2**21 + 1).tolist() == oracle_primes(2**21 + 1)
+
+
+# Above SEGMENT_SIZE the segments are written into one array sized by a
+# bound on pi(limit): the peak is the result and about one segment, not
+# twice the result, as joining a list of segments would take.
 def test_sieve_primes_large_path_peaks_near_its_result():
     tracemalloc.start()
     try:
