@@ -16,7 +16,11 @@ and each later one doubles, up to ``SEGMENT_SIZE``, so a search that
 stops a few values in strikes one small segment; a full segment's mask
 fits in half of a 2 MiB L2.  A prime at least as large as a segment's
 flag count hits it at most once, so the kernel strikes all such primes
-with one scatter and loops over the smaller ones only.  Its callers
+with one scatter and loops over the smaller ones only.  On a mask of
+more than _TILE = 3 * 5 * 7 * 11 * 13 = 15015 flags, the leading primes
+that divide _TILE and start below p (every prime of a driver pass, whose
+first indices are reduced mod p) are struck once on a block of _TILE
+flags, which is tiled over the mask.  Its callers
 strike odd primes only, as int64 arrays: the wheel's P_2..P_k (every
 wheel holds 2), in ``prime_segments`` a copy of the odd base primes up
 to sqrt(hi), and in ``sieve_primes`` the odd primes up to sqrt(limit).
@@ -86,15 +90,37 @@ _MR_LIMIT = 3317044064679887385961981  # psi_13
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# Flags in the block that ``_strike`` strikes 3, 5, 7, 11 and 13 on
+# before tiling it: a multiple of the period of every subset of them.
+_TILE = 3 * 5 * 7 * 11 * 13
+
 
 def _strike(size: int, primes: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     """Mask of size flags: False at first, first + p, first + 2p, ...
     for each prime p, in increasing order, and its first index.
 
-    A prime p >= size hits the mask at most once, at its first index if
-    that is below size, so those primes are struck by one scatter; only
-    the primes below size take a slice each."""
-    flags = np.ones(size, dtype=bool)
+    A prime struck from a first index below p clears every index
+    congruent to it mod p, so its pattern repeats every p flags, and
+    every p dividing _TILE repeats every _TILE flags.  On a mask of more
+    than _TILE flags, the leading primes of that kind are struck on one
+    block of _TILE flags, which ``np.resize`` tiles to size flags: at
+    most five, the odd primes up to 13, so only primes[:5] are tested.
+    A prime struck from p * p // 2, as ``sieve_primes`` strikes, starts
+    at or past p and keeps its plain strike, so it stays prime.  The
+    other primes are struck as they come: a prime p >= size hits the
+    mask at most once, at its first index if that is below size, so
+    those primes are struck by one scatter, and only the primes below
+    size take a slice each."""
+    flags = np.ones(min(size, _TILE), dtype=bool)
+    if size > _TILE:
+        tiled = 0
+        for p, first in zip(primes[:5].tolist(), firsts[:5].tolist()):
+            if _TILE % p or first >= p:
+                break
+            flags[first::p] = False
+            tiled += 1
+        flags = np.resize(flags, size) if tiled else np.ones(size, dtype=bool)
+        primes, firsts = primes[tiled:], firsts[tiled:]
     small = int(np.searchsorted(primes, size))
     for p, first in zip(primes[:small].tolist(), firsts[:small].tolist()):
         flags[first::p] = False

@@ -6,13 +6,17 @@ its default format.  ``verify`` runs every check of ``checks.ALL_CHECKS``
 up to ``--max-level``; ``verify --all`` is accepted and ignored.  Both
 stay while perfbench's cli workload runs them.
 
-Every subcommand returns an ``Output``: its JSON payload, its text
-rendering, its csv rendering where ``--format csv`` is offered (gen and
-census), and its exit code.  ``main`` renders the chosen format once and
-writes it to stdout or ``--out``.  So ``find-pair --format json`` with no
-hit prints ``{"gap": g, "pair": null}``, and ``census -g G --format csv``
-prints the census header and the one row ``K,<scope>,G,<count>``, count
-0 when the gap is absent.
+Every subcommand returns an ``Output``: its rendering in the chosen
+format, as an iterable of text chunks, and its exit code; ``main``
+writes the chunks to stdout or ``--out`` as they come.  Most subcommands
+build a JSON payload, a text rendering and, where ``--format csv`` is
+offered (gen and census), a csv rendering, and ``_render`` picks one.
+So ``find-pair --format json`` with no hit prints
+``{"gap": g, "pair": null}``, and ``census -g G --format csv`` prints
+the census header and the one row ``K,<scope>,G,<count>``, count 0 when
+the gap is absent.  ``gen`` streams instead: one chunk per sieve
+segment, in every format, so its memory does not grow with its output;
+its json is the bytes ``json.dumps`` would give, written piece by piece.
 
 Exit codes: 0 success, 1 usage or range error, 2 an empirical
 verification that failed.  A refusal prints nothing on stdout; a value
@@ -31,9 +35,12 @@ decimal strings, never floats.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from . import census as census_mod
 from . import checks as checks_mod
@@ -47,14 +54,23 @@ EXIT_VERIFY_FAILED = 2
 
 
 class Output(NamedTuple):
-    """What a subcommand produced, before it is rendered: the JSON
-    payload, the text rendering, the csv rendering where csv is offered,
-    and the exit code."""
+    """What a subcommand produced, in the chosen format: its text as an
+    iterable of chunks, which ``main`` writes as they come, and its exit
+    code."""
 
-    payload: object
-    text: str
-    csv: str | None = None
+    chunks: Iterable[str]
     code: int = EXIT_OK
+
+
+def _render(
+    args, payload: object, text: str, csv: str | None = None, code: int = EXIT_OK
+) -> Output:
+    """The Output of a subcommand that builds its whole result: the JSON
+    payload, the text rendering, or the csv rendering where csv is
+    offered, as args.format asks."""
+    if args.format == "json":
+        return Output([json.dumps(payload, sort_keys=True, indent=2) + "\n"], code)
+    return Output([csv if args.format == "csv" else text], code)
 
 
 def _parse_range(spec: str | None) -> tuple[int | None, int | None]:
@@ -68,12 +84,33 @@ def _parse_range(spec: str | None) -> tuple[int | None, int | None]:
 
 
 def _cmd_gen(args) -> Output:
+    """One chunk per segment of the range, so only one segment's values
+    are held at a time.  The first segment, if the range has one, is
+    drawn here, before main writes anything or opens --out, so a
+    refusal comes first."""
     lo, hi = _parse_range(args.range)
-    values = [
-        str(v) for v in wheel.enumerate_prospective(args.level, lo, hi, args.budget)
-    ]
-    text = "".join(f"{v}\n" for v in values)
-    return Output({"level": args.level, "values": values}, text, "value\n" + text)
+    segments = wheel.prospective_segments(args.level, lo, hi, args.budget)
+    segments = itertools.chain(list(itertools.islice(segments, 1)), segments)
+    if args.format == "json":
+        return Output(_gen_json(args.level, segments))
+    lines = (
+        "".join(f"{start + offset}\n" for offset in offsets.tolist())
+        for start, offsets in segments
+    )
+    return Output(itertools.chain(["value\n"] if args.format == "csv" else [], lines))
+
+
+def _gen_json(level: int, segments: Iterable[tuple[int, np.ndarray]]) -> Iterator[str]:
+    """The bytes of json.dumps({"level": level, "values": [...]},
+    sort_keys=True, indent=2) and a newline, the values as decimal
+    strings, one chunk per segment."""
+    yield f'{{\n  "level": {level},\n  "values": ['
+    sep = "\n    "
+    for start, offsets in segments:
+        if len(offsets):
+            yield sep + ",\n    ".join(f'"{start + offset}"' for offset in offsets.tolist())
+            sep = ",\n    "
+    yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"
 
 
 def _cmd_census(args) -> Output:
@@ -97,7 +134,7 @@ def _cmd_census(args) -> Output:
     csv = "level,scope,gap,count\n" + "".join(
         f"{c.level},{c.scope},{g},{n}\n" for g, n in entries
     )
-    return Output(payload, text, csv)
+    return _render(args, payload, text, csv)
 
 
 def _cmd_lineage(args) -> Output:
@@ -108,7 +145,8 @@ def _cmd_lineage(args) -> Output:
     predicted = census_mod.predicted_derived_count(
         args.root_level, args.level, args.gap
     )
-    return Output(
+    return _render(
+        args,
         {**lineage.to_json_dict(), "predicted": str(predicted)},
         f"root {root} level {args.root_level} -> {args.level}: "
         f"{len(lineage.leaves)} derived pairs (predicted {predicted})\n",
@@ -124,17 +162,17 @@ def _cmd_verify(args) -> Output:
         for r in results
     )
     code = EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY_FAILED
-    return Output(None, text, code=code)
+    return _render(args, None, text, code=code)
 
 
 def _cmd_subset_gaps(args) -> Output:
     gaps = [str(g) for g in census_mod.subset_gap_spectrum(args.level)]
-    return Output({"level": args.level, "gaps": gaps}, " ".join(gaps) + "\n")
+    return _render(args, {"level": args.level, "gaps": gaps}, " ".join(gaps) + "\n")
 
 
 def _cmd_table1(args) -> Output:
     table = census_mod.table1()
-    return Output(table.to_json_dict(), table.render_text() + "\n")
+    return _render(args, table.to_json_dict(), table.render_text() + "\n")
 
 
 def _cmd_bounds(args) -> Output:
@@ -148,12 +186,14 @@ def _cmd_bounds(args) -> Output:
         f"holds {report.holds}\n"
     )
     code = EXIT_OK if report.holds else EXIT_VERIFY_FAILED
-    return Output(report.to_json_dict(), text, code=code)
+    return _render(args, report.to_json_dict(), text, code=code)
 
 
 def _cmd_ratios(args) -> Output:
     value = primepairs.growth_ratio(args.from_level)
-    return Output({"l": args.from_level, "ratio": round(value, 3)}, f"{value:.1f}\n")
+    return _render(
+        args, {"l": args.from_level, "ratio": round(value, 3)}, f"{value:.1f}\n"
+    )
 
 
 def _cmd_find_pair(args) -> Output:
@@ -161,8 +201,9 @@ def _cmd_find_pair(args) -> Output:
         args.gap, args.above, args.limit, budget=args.budget
     )
     if pair is None:
-        return Output({"gap": args.gap, "pair": None}, "not-found\n")
-    return Output(
+        return _render(args, {"gap": args.gap, "pair": None}, "not-found\n")
+    return _render(
+        args,
         {"gap": args.gap, "pair": [str(pair[0]), str(pair[1])]},
         f"({pair[0]}, {pair[1]})\n",
     )
@@ -263,15 +304,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.budget < 1:
             raise ValueError(f"--budget must be a positive integer, got {args.budget}")
         result = args.func(args)
-        if args.format == "json":
-            rendered = json.dumps(result.payload, sort_keys=True, indent=2) + "\n"
-        else:
-            rendered = result.csv if args.format == "csv" else result.text
         if args.out:
             with open(args.out, "w") as handle:
-                handle.write(rendered)
+                handle.writelines(result.chunks)
         else:
-            sys.stdout.write(rendered)
+            sys.stdout.writelines(result.chunks)
         return result.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

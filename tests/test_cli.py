@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from polignac import checks, cli
+from polignac import arith, checks, cli
 from polignac.arith import primorial
 from polignac.census import gap_census
 from polignac.cli import main
 from polignac.primepairs import BoundReport
+from conftest import oracle_prospective
 from test_arith import deadline
 
 
@@ -35,10 +36,35 @@ def test_gen(capsys):
     ],
 )
 def test_gen_empty_range(capsys, fmt, expected):
-    # The level-2 window is [5, 10]: 8:10 lies in it and holds no value.
-    code, out, _ = run(capsys, "gen", "-k", "2", "--range", "8:10", "--format", fmt)
-    assert code == 0
-    assert out == expected
+    # The level-2 window is [5, 10]: 8:10 lies in it and holds no value;
+    # 6:6 holds no odd integer, so its pass has no segment at all.
+    for spec in ("8:10", "6:6"):
+        code, out, _ = run(capsys, "gen", "-k", "2", "--range", spec, "--format", fmt)
+        assert code == 0
+        assert out == expected
+
+
+# gen streams one chunk per segment; its bytes are those of the whole
+# output built at once.  Segments of 8 integers, 4 odd ones, cross many
+# edges, and at level 6 (gaps up to 22) some of them hold no value.
+@pytest.mark.parametrize("segment", [8, None])
+@pytest.mark.parametrize(
+    "k, spec", [(2, None), (4, None), (6, None), (6, "1000:3000"), (6, "30031:30100")]
+)
+def test_gen_streams_whole_output(monkeypatch, capsys, segment, k, spec):
+    if segment:
+        monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    lo, hi = map(int, spec.split(":")) if spec else (None, None)
+    values = [str(v) for v in oracle_prospective(k, lo, hi)]
+    text = "".join(f"{v}\n" for v in values)
+    expected = {
+        "text": text,
+        "csv": "value\n" + text,
+        "json": json.dumps({"level": k, "values": values}, sort_keys=True, indent=2) + "\n",
+    }
+    for fmt, out in expected.items():
+        argv = ["gen", "-k", str(k), "--format", fmt] + (["--range", spec] if spec else [])
+        assert run(capsys, *argv) == (0, out, "")
 
 
 @pytest.mark.parametrize(

@@ -200,6 +200,26 @@ def test_one_segment_alive(monkeypatch, call, bound):
     assert peak < bound * 8 * arith.SEGMENT_SIZE
 
 
+# gen writes one chunk per segment, in every format, so its peak is a
+# few segments however long its output is.  At SEGMENT_SIZE 2^14 the
+# level-7 window is 32 segments, and each keeps ~ 0.18 of its integers,
+# about 0.1 MiB of Python ints and strings; the output is 0.6 MiB of text
+# or 1.2 MiB of json, which held whole peaks near 95 and 115 segments.
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_gen_streams_one_segment_at_a_time(monkeypatch, tmp_path, fmt):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 2**14)
+    argv = ["gen", "-k", "7", "--format", fmt, "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # fill the prime table outside the traced run
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out").stat().st_size > 2**19
+    assert peak < 5 * 8 * arith.SEGMENT_SIZE
+
+
 # Level 16 runs past 2^63 (P_16# ~ 3.3e19): values there no longer fit
 # an int64, so segments must carry them as offsets from a Python int.
 INT64_EDGE = 1 << 63
@@ -552,3 +572,54 @@ def test_prime_segments_one_hit_scatter(monkeypatch, segment, lo, hi):
         monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
     got = [start + int(p) for start, part in arith.prime_segments(lo, hi) for p in part]
     assert got == trial_division_primes(lo, hi)
+
+
+# The kernel strikes the leading primes that divide 3 * 5 * 7 * 11 * 13
+# = 15015 and start below p on one block of 15015 flags, and tiles it
+# over a longer mask.  Every mask must equal a strike of each prime, one
+# slice at a time.  Firsts of p * p // 2 are the ones sieve_primes
+# strikes from: at or above p, so those primes take plain strikes.
+def sliced_strike(size, primes, firsts):
+    flags = np.ones(size, dtype=bool)
+    for p, first in zip(primes, firsts):
+        flags[first::p] = False
+    return flags
+
+
+LEAD = [3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("size", [1, 12, 15014, 15015, 15016, 30031, 2**16 + 7])
+@pytest.mark.parametrize("lead", range(1, len(LEAD) + 1))
+@pytest.mark.parametrize("larger", [[], [17, 19, 23, 15013, 70001]], ids=["lead", "larger"])
+def test_tiled_strike_matches_slices(size, lead, larger):
+    primes = LEAD[:lead] + larger
+    rng = np.random.default_rng(size * 7 + lead)
+    cases = [
+        [0] * len(primes),
+        [p - 1 for p in primes],
+        [p * p // 2 for p in primes],  # no prime tiles
+        [p * p // 2 if i == 1 else p - 1 for i, p in enumerate(primes)],  # 3 tiles only
+        *(rng.integers(0, primes).tolist() for _ in range(4)),
+    ]
+    for firsts in cases:
+        got = arith._strike(size, np.array(primes), np.array(firsts))
+        assert np.array_equal(got, sliced_strike(size, primes, firsts)), firsts
+
+
+# 13 joins the base primes at hi = 169; the longer ranges run segments
+# past 15015 flags, where the base primes 3..13 are tiled.
+@pytest.mark.parametrize("hi", [168, 169, 170, 2 * 15015 + 1, 2**17 + 3])
+def test_prime_segments_where_13_joins_the_base(hi):
+    primes = oracle_primes(hi)
+    for lo in (0, 14, 101, hi // 2):
+        got = [start + p for start, part in arith.prime_segments(lo, hi) for p in part.tolist()]
+        assert got == [p for p in primes if lo <= p], (lo, hi)
+
+
+# sieve_primes strikes each odd prime from p * p // 2: 3..13 stay prime.
+@pytest.mark.parametrize("n", [13, 2 * 15015 + 1, 2**21])
+def test_sieve_primes_keeps_the_tiled_primes(n):
+    primes = arith.sieve_primes(n).tolist()
+    assert primes == oracle_primes(n)
+    assert primes[:6] == [2, *LEAD]
