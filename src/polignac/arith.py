@@ -31,8 +31,8 @@ array sized by Dusart's bound on pi(limit).  ``nth_prime`` and
 ``primorial`` read a list of primes that ``sieve_primes`` fills, by one
 sieve sized by Rosser's bound on the n-th prime.  ``prime_count_pi``
 sieves nothing: it runs Lucy's recursion over the values x // i, one
-update per prime up to icbrt(x) and one vectorised step for all the
-primes above it.
+update per prime up to icbrt(x), and reads Meissel's P2 term, the
+products of two primes above icbrt(x), off the recursion's own arrays.
 
 ``segment_gaps`` turns a stream of segments into the gaps between
 consecutive values, carried across segment edges; the gap censuses,
@@ -62,8 +62,9 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-# Largest primorial index handed out by default.  P_25# ~ 2.3e39; anything
-# beyond that is almost certainly a caller bug at desk scale.
+# Largest index ``primorial`` accepts, and so the highest wheel level.
+# _PRIMORIALS keeps every prefix product P_1# .. P_k#, so its memory grows
+# with the square of the index; P_25# ~ 2.3e39.
 MAX_PRIMORIAL_INDEX = 25
 
 # Default for the most integers one sieve pass may cover.  On a 2-core
@@ -391,16 +392,19 @@ def prime_count_pi(x: int, budget: int = SIEVE_BUDGET) -> int:
     are held as two int64 arrays, small[v] = S(v) for v <= r and
     large[i - 1] = S(x // i) for i <= r.
 
-    Each prime p <= c = icbrt(x) is one vectorised update of both.  The
-    primes in (c, r] are then struck in one step, as in the
-    Meissel-Lehmer split (Lagarias, Miller & Odlyzko, 1985): such a p
-    has p^3 > x, so it writes only large[i - 1] for i <= x // p^2 <= c,
-    and reads only S(x // (i p)) with x // (i p) < (c + 1)^2 <= p^2,
-    from large at i p > c: values that no prime above c changes.  The
-    step's pairs (i, p) are summed exactly in int64, in runs of
-    consecutive i of at most r pairs, so memory stays O(r).  The work,
-    about r^(3/2), is held to budget as r * isqrt(r) before any array
-    is allocated.
+    Each prime p <= c = icbrt(x) is one vectorised update of both, and
+    no prime above c is struck.  S(v) then counts the integers in
+    [2, v] that are prime or have no prime factor <= c.  Since
+    (c + 1)^3 > x, each such integer that is not prime is p q, with
+    primes c < p <= q, so S(x) = pi(x) + P2, Meissel's term
+    P2 = sum over primes c < p <= r of pi(x // p) - pi(p - 1)
+    (Lagarias, Miller & Odlyzko, 1985; Deleglise & Rivat, 1996).  Every
+    such product is at least (c + 1)^2, so S(v) = pi(v) for every
+    v < (c + 1)^2: small[p - 1] = pi(p - 1), and, for every p > c,
+    large[p - 1] = S(x // p) = pi(x // p), because x // p < (c + 1)^2.
+    The primes in (c, r] are where small steps, so P2 is one sum over
+    the two arrays.  The work, about r^(3/2), is held to budget as
+    r * isqrt(r) before any array is allocated.
     """
     if x < 0:
         raise ValueError(f"pi(x) needs x >= 0, got {x}")
@@ -429,31 +433,9 @@ def prime_count_pi(x: int, budget: int = SIEVE_BUDGET) -> int:
         large[inner:count] -= small[(x // p) // np.arange(inner + 1, count + 1)] - below
         if p * p <= r:
             small[p * p :] -= small[np.arange(p * p, r + 1) // p] - below
-    # small is final now: the primes in (c, r] are where it steps, and
-    # S(p - 1) = S(c) + j for the j-th of them.  Entry i - 1 of large
-    # loses S(x // (i p)) - S(p - 1) for each of the first counts[i - 1],
-    # those with p^2 <= x // i.
+    # small is final now: the primes in (c, r] are where it steps.
     primes = np.flatnonzero(small[c + 1 :] != small[c:-1]) + (c + 1)
-    if not len(primes):
-        return int(large[0])
-    counts = np.searchsorted(primes * primes, x // np.arange(1, x // primes[0] ** 2 + 1), "right")
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(counts):
-        # The pairs (i, j) of i = lo + 1 .. hi, at most r of them; the
-        # pairs of i start at firsts[i - lo - 1].
-        hi = int(np.searchsorted(ends, ends[lo] - counts[lo] + r, "right"))
-        run = counts[lo:hi]
-        firsts = ends[lo:hi] - run - (ends[lo] - counts[lo])
-        j = np.arange(firsts[-1] + run[-1]) - np.repeat(firsts, run)
-        ip = np.repeat(np.arange(lo + 1, hi + 1), run) * primes[j]
-        read = small[x // np.maximum(ip, r + 1)]  # S(x // (i p)) where i p > r
-        inner = ip <= r
-        read[inner] = large[ip[inner] - 1]
-        read -= j + small[c]
-        large[lo:hi] -= np.add.reduceat(read, firsts)
-        lo = hi
-    return int(large[0])
+    return int(large[0] - (large[primes - 1] - small[primes - 1]).sum())
 
 
 def mod_inverse(a: int, p: int) -> int:

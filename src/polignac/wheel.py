@@ -17,10 +17,12 @@ as one (start, offsets) pair per segment.  Array consumers
 directly; ``enumerate_prospective`` adds the start back value by value,
 as Python ints, so windows past 2^63 work.
 
-No level is refused for being high: what a window, subset or range
-costs is the integers it spans, and the sieve budget of
-``arith.strike_segments`` bounds that.  A narrow range at level 16 is
-cheap; the full level-10 window is refused at the default budget.
+Every level above ``arith.MAX_PRIMORIAL_INDEX`` (25) is refused, since
+``arith.primorial`` refuses its index.  Up to it, no level is refused
+for being high: what a window, subset or range costs is the integers it
+spans, and the sieve budget of ``arith.strike_segments`` bounds that.
+A narrow range at level 16 is cheap; the full level-10 window is refused
+at the default budget.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polignac import arith
 from polignac.arith import (
     is_prime,
     mod_inverse,
@@ -168,9 +169,9 @@ def test_k_for_level_against_sieve(primes_past_300_cubed):
 
 
 def test_pi_memory_linear_in_root():
-    # Lucy's two arrays take 16 r bytes, r = isqrt(x); the step over the
-    # primes above icbrt(x) holds at most r of its pairs at a time, so the
-    # count stays within 128 r bytes, 12.2 MiB at x = 10^10.
+    # Lucy's two arrays take 16 r bytes, r = isqrt(x), and every
+    # temporary of the count is O(r), so it stays within 128 r bytes,
+    # 12.2 MiB at x = 10^10.
     tracemalloc.start()
     try:
         assert prime_count_pi(10**10) == PUBLISHED_PI[10]
@@ -178,6 +179,31 @@ def test_pi_memory_linear_in_root():
     finally:
         tracemalloc.stop()
     assert peak <= 128 * 10**5
+
+
+def test_pi_peak_is_lucy_arrays():
+    # Lucy's two arrays take 16 r bytes, r = isqrt(x) = 10^5, and building
+    # large from x // arange(1, r + 1) holds 16 r more for a moment.  P2 is
+    # read off the two arrays, so no other array comes near them.
+    tracemalloc.start()
+    try:
+        assert prime_count_pi(10**10) == PUBLISHED_PI[10]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 10**5
+
+
+def test_pi_sieves_nothing(monkeypatch):
+    # k_for_level reaches levels whose sqrt(P_l#) is past the sieve budget
+    # only because pi strikes no mask at all.
+    def refuse(*args, **kwargs):
+        raise AssertionError("prime_count_pi sieved")
+
+    for name in ("_strike", "strike_segments", "sieve_primes"):
+        monkeypatch.setattr(arith, name, refuse)
+    assert prime_count_pi(10**8) == PUBLISHED_PI[8]
+    assert prime_count_pi(10**10) == PUBLISHED_PI[10]
 
 
 def test_pi_budget():

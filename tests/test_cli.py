@@ -465,6 +465,19 @@ def test_refusal_contract(capsys, argv):
     assert out == "" and "error:" in err and "Traceback" not in err
 
 
+# arith.primorial caps the level, so even a narrow range above the cap is
+# refused, by its index.
+@pytest.mark.parametrize(
+    "argv", [["gen", "-k", "26", "--range", "5:10"], ["census", "-k", "26", "--range", "5:100"]],
+    ids=" ".join,
+)
+def test_level_past_primorial_cap_exits_1(capsys, argv):
+    assert arith.MAX_PRIMORIAL_INDEX == 25
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == "error: primorial index 26 exceeds configured bound 25\n"
+
+
 # A window past the sieve budget is refused before the exact bound is
 # built, and before anything is sieved: at l = 12 the bound alone takes
 # over a minute, and from l = 15 on sqrt(P_l#) is itself past the budget.
