@@ -11,6 +11,11 @@ constant separation of the two disallowed indices attached to a gap-g
 pair.  The per-subset minimum of a root pair's descendants is checked by
 ``checks.check_per_subset_minima``.
 
+The four cases and the paper's worked Table 1 are two views of one step,
+``wheel.propagate``: a case reads which members of a triple it marks
+disallowed for one residue m, and Table 1 is ``propagate`` of the triple
+(113, 121, 127) from level 4 over every residue m < P_5.
+
 A full-window census at level k >= 3 is one propagation step, the first
 step of Holt's recursion on gap shapes ("Combinatorics of the gaps
 between primes").  The level-k window is P_k copies of the level-(k - 1)
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
@@ -49,13 +54,15 @@ from .wheel import (
     WheelWindow,
     is_prospective,
     mhat,
+    propagate,
     prospective_segments,
     subset_extremes,
 )
 
-# Spans wider than this make the lineage tree explode (product of
-# P_i - 2 factors); use predicted_derived_count instead.
-LINEAGE_CAP = 4
+# The most leaves a lineage tree may hold.  Its size is
+# predicted_derived_count, a product of P_i - 2 factors that grows with
+# the primes, so a span of a few levels can already hold millions.
+LINEAGE_CAP = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +249,11 @@ def classify_propagation(
     left_neighbor: int | None = None,
     right_neighbor: int | None = None,
 ) -> PropagationOutcome:
-    """Classify propagating a consecutive triple at level k with residue m."""
+    """Classify propagating a consecutive triple at level k with residue m:
+    its roles are the members that ``propagate`` marks disallowed, and an
+    m outside [0, P_{k+1} - 1] is refused there."""
     _require_consecutive(triple, k)
     p, p2, p3 = triple
-    p_next = nth_prime(k + 1)
-    if not 0 <= m <= p_next - 1:
-        raise ValueError(f"m={m} outside [0, {p_next - 1}]")
     g, g2 = p2 - p, p3 - p2
     # The gap each role leaves, in role order: an absorbed end merges its
     # gap with the one beyond the triple, unknown without the neighbour.
@@ -257,7 +263,7 @@ def classify_propagation(
         PropagationCase.SECOND_ABSORBED: None if right_neighbor is None else right_neighbor - p2,
     }
     roles = tuple(
-        role for role, q in zip(gap_of, triple) if m == mhat(q, k + 1).value
+        role for role, q in zip(gap_of, triple) if propagate(q, k, m).disallowed
     )
     if not roles:
         return PropagationOutcome(
@@ -354,18 +360,19 @@ def derive_pairs(root: tuple[int, int], l: int, k: int) -> PairLineage:
     share one row of LineageSteps, None at the two disallowed m.  The
     child x + m * P_j# of a node x of the level-j window [5, 4 + P_j#]
     lies in the m-th stretch of width P_j#, so children emitted m by m
-    over an increasing frontier are increasing: no sort.  Refused: l < 2
-    or k <= l (as predicted_derived_count refuses them), spans wider
-    than LINEAGE_CAP, and a root that is not a consecutive pair.
+    over an increasing frontier are increasing: no sort.  Refused, before
+    any node is built: l < 2 or k <= l (as predicted_derived_count
+    refuses them), a root that is not a consecutive pair, and a tree of
+    more than LINEAGE_CAP leaves.
     """
     _require_levels(l, k)
-    if k - l > LINEAGE_CAP:
-        raise ValueError(
-            f"span {k - l} exceeds lineage cap {LINEAGE_CAP}; "
-            "use predicted_derived_count for the size"
-        )
     _require_consecutive(root, l)
     g = root[1] - root[0]
+    if (size := predicted_derived_count(l, k, g)) > LINEAGE_CAP:
+        raise ValueError(
+            f"{size} leaves exceed the lineage cap of {LINEAGE_CAP}; "
+            "use predicted_derived_count for the size"
+        )
     frontier = [LineageLeaf(root, ())]
     for j in range(l, k):
         p, step_size, unit = nth_prime(j + 1), primorial(j), mhat(1, j + 1).value
@@ -459,18 +466,8 @@ class PropagationTable:
     merged: list[int | None]
 
     def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "roots": list(self.roots),
-            "mhat_positions": list(self.mhat_positions),
-            "rows": [
-                [{"value": c.value, "composite": c.composite} for c in row]
-                for row in self.rows
-            ],
-            "gap_first": self.gap_first,
-            "gap_second": self.gap_second,
-            "merged": self.merged,
-        }
+        # The field names, TableCell's too, are the JSON keys.
+        return asdict(self)
 
     def render_text(self) -> str:
         p_next = nth_prime(self.level + 1)
@@ -501,45 +498,24 @@ class PropagationTable:
 
 def table1() -> PropagationTable:
     """The worked propagation of the consecutive triple (113, 121, 127)
-    from level 4 into level 5, residue by residue."""
+    from level 4 into level 5: ``propagate`` of each member with every
+    residue m.  A gap is blank where either of its ends is disallowed,
+    and the merged row holds g + g' where both outer values are prime and
+    the middle one is disallowed or composite."""
     triple, k = (113, 121, 127), 4
-    p, p2, p3 = triple
-    g, g2 = p2 - p, p3 - p2
-    p_next = nth_prime(k + 1)
-    step = primorial(k)
-    hats = tuple(mhat(q, k + 1).value for q in triple)
-    rows: list[list[TableCell]] = []
-    for root, hat in zip(triple, hats):
-        row = []
-        for m in range(p_next):
-            if m == hat:
-                row.append(TableCell(value=None, composite=False))
-            else:
-                value = root + m * step
-                row.append(TableCell(value=value, composite=not is_prime(value)))
-        rows.append(row)
-    gap_first = [
-        g if m not in (hats[0], hats[1]) else None for m in range(p_next)
+    steps = [[propagate(q, k, m) for m in range(nth_prime(k + 1))] for q in triple]
+    rows = [
+        [TableCell(None, False) if s.disallowed else TableCell(s.value, not is_prime(s.value))
+         for s in row]
+        for row in steps
     ]
-    gap_second = [
-        g2 if m not in (hats[1], hats[2]) else None for m in range(p_next)
-    ]
-    merged = []
-    for m in range(p_next):
-        outer_ok = (
-            rows[0][m].value is not None
-            and not rows[0][m].composite
-            and rows[2][m].value is not None
-            and not rows[2][m].composite
-        )
-        middle_gone = rows[1][m].value is None or rows[1][m].composite
-        merged.append(g + g2 if outer_ok and middle_gone else None)
+    gap_first, gap_second = (
+        [None if a.disallowed or b.disallowed else b.value - a.value for a, b in zip(lower, upper)]
+        for lower, upper in zip(steps, steps[1:])
+    )
+    prime = [[c.value is not None and not c.composite for c in row] for row in rows]
+    merged = [triple[2] - triple[0] if a and c and not b else None for a, b, c in zip(*prime)]
     return PropagationTable(
-        level=k,
-        roots=triple,
-        rows=rows,
-        mhat_positions=hats,
-        gap_first=gap_first,
-        gap_second=gap_second,
-        merged=merged,
+        level=k, roots=triple, rows=rows, mhat_positions=tuple(mhat(q, k + 1).value for q in triple),
+        gap_first=gap_first, gap_second=gap_second, merged=merged,
     )

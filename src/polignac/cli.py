@@ -27,8 +27,10 @@ The one global flag, ``--budget N``, sets the sieve budget
 most integers one sieve pass of gen, census, lineage, bounds or
 find-pair may cover, and the prefix of its range that ``lineage`` or
 ``find-pair`` searches for a pair.  It is the only setting: nothing is
-read from the environment, and the lineage cap is the constant
-``census.LINEAGE_CAP``.  Exact quantities appear in JSON output as
+read from the environment, and the lineage cap, the most leaves a
+``lineage`` tree may hold, is the constant ``census.LINEAGE_CAP``; a
+larger tree is refused from its closed-form count before any node is
+built.  Exact quantities appear in JSON output as
 decimal strings, never floats.
 """
 
@@ -145,9 +147,10 @@ def _cmd_lineage(args) -> Output:
     predicted = census_mod.predicted_derived_count(
         args.root_level, args.level, args.gap
     )
+    # Only json prints the payload, one dict per leaf and per step.
     return _render(
         args,
-        {**lineage.to_json_dict(), "predicted": str(predicted)},
+        {**lineage.to_json_dict(), "predicted": str(predicted)} if args.format == "json" else None,
         f"root {root} level {args.root_level} -> {args.level}: "
         f"{len(lineage.leaves)} derived pairs (predicted {predicted})\n",
     )

@@ -9,10 +9,12 @@ bound from one level to the next, and searches for prime pairs above a
 threshold.
 
 Theorem 3's primes come from one sieve: P_1, ..., P_k are the primes
-up to sqrt(P_l#), so k is their number.  ``bound_report`` first finds
-P_k and P_{k+1} with ``arith.is_prime`` on either side of sqrt(P_l#)
-and counts the window, so a window past the sieve budget is refused
-before anything is sieved.  ``k_for_level`` gives the same k by
+up to sqrt(P_l#), so k is their number.  ``bound_report`` first checks
+the theorem's premise, a gap-g pair at level r, by the root search of
+``census.find_root_pair``.  It then finds P_k and P_{k+1} with
+``arith.is_prime`` on either side of sqrt(P_l#) and counts the window,
+so a window past the sieve budget is refused before it or the primes to
+sqrt(P_l#) are sieved.  ``k_for_level`` gives the same k by
 ``arith.prime_count_pi``, which sieves nothing and so reaches levels
 whose sqrt(P_l#) is past the sieve budget; ``verify`` checks that the
 two agree.
@@ -39,7 +41,7 @@ from .arith import (
     SIEVE_BUDGET, first_pair_with_gap, is_prime, nth_prime, prime_count_pi, prime_segments,
     primorial, segment_gaps, sieve_primes,
 )
-from .census import predicted_derived_count, require_gap
+from .census import find_root_pair, predicted_derived_count, require_gap
 from .wheel import enumerate_prospective
 
 
@@ -156,15 +158,20 @@ def _decimal(n: int) -> str:
 
 def bound_report(r: int, l: int, g: int, budget: int = SIEVE_BUDGET) -> BoundReport:
     """The Theorem 3 bound next to the observed count.  The arguments are
-    checked first; P_k and P_{k+1} are the primes on either side of
-    sqrt(P_l#), found by ``is_prime``.  The count runs next, and refuses
-    a window past the budget before anything is sieved; only then do
-    P_1, ..., P_k come from one sieve to sqrt(P_l#) and the exact bound
-    get built: past l = 10 the bound alone takes seconds to minutes, and
-    a refusal must not wait for it."""
+    checked first, then the theorem's premise: level r must hold a
+    consecutive gap-g pair, searched for by ``census.find_root_pair``,
+    which reads the level-r window's first segment or a few more.  P_k
+    and P_{k+1} are the primes on either side of sqrt(P_l#), found by
+    ``is_prime``.  The count runs next, and refuses a window past the
+    budget before that window is sieved; only then do P_1, ..., P_k come
+    from one sieve to sqrt(P_l#) and the exact bound get built: past
+    l = 10 the bound alone takes seconds to minutes, and a refusal must
+    not wait for it."""
     if l < 3:
         raise ValueError(f"level must be >= 3, got {l}")
     _require_root(r, l, g)
+    if find_root_pair(r, g, budget) is None:
+        raise ValueError(f"no gap-{g} pair at level {r}")
     root = math.isqrt(primorial(l))
     p_k, p_next = root, root + 1
     while not is_prime(p_k):

@@ -14,6 +14,7 @@ from polignac.census import (
     LineageLeaf,
     LineageStep,
     PropagationCase,
+    TableCell,
     classify_propagation,
     derive_pairs,
     distribution_ratio,
@@ -154,13 +155,23 @@ def test_derive_pairs_examples():
     assert len(derive_pairs((23, 29), 3, 4).leaves) == 5
 
 
-def test_derive_pairs_cap():
-    with pytest.raises(ValueError):
-        derive_pairs((5, 7), 2, 8)
-    # The cap is a span of 4 levels: 2 -> 6 is expanded, 2 -> 7 refused.
-    assert len(derive_pairs((5, 7), 2, 6).leaves) == predicted_derived_count(2, 6, 2)
-    with pytest.raises(ValueError, match="lineage cap 4"):
-        derive_pairs((5, 7), 2, 7)
+def test_derive_pairs_cap(monkeypatch):
+    # The cap is a leaf count, 2^15: 2 -> 6 (1 485 leaves) and 2 -> 7
+    # (22 275) are expanded; 2 -> 8 (378 675) and 5 -> 9 (58 905, a span
+    # of 4 levels) are refused before any node is built.
+    assert census.LINEAGE_CAP == 32768
+    for k in (6, 7):
+        assert len(derive_pairs((5, 7), 2, k).leaves) == predicted_derived_count(2, k, 2)
+
+    def no_row(*args):
+        raise AssertionError("a node was built before the refusal")
+
+    monkeypatch.setattr(census, "_step_row", no_row)
+    for root, l, k, size in (((5, 7), 2, 8, 378675), ((29, 31), 5, 9, 58905)):
+        assert predicted_derived_count(l, k, 2) == size
+        message = f"^{size} leaves exceed the lineage cap of 32768; use predicted_derived_count"
+        with pytest.raises(ValueError, match=message):
+            derive_pairs(root, l, k)
 
 
 @pytest.mark.parametrize("l, k", [(3, 2), (3, 3), (1, 3)])
@@ -306,7 +317,8 @@ def test_lineage_matches_brute_force_oracle(root, l, k):
 
 @pytest.mark.parametrize("l, k", [(3, 7), pytest.param(4, 8, marks=pytest.mark.slow)])
 def test_wide_lineage_matches_brute_force_oracle(l, k):
-    # 7 425 and 25 245 leaves: the full cap of 4 levels.
+    # 7 425 and 25 245 leaves, spans of 4 levels: 4 -> 8 is the widest
+    # tree any test expands, within the cap of 2^15 leaves.
     lineage = derive_pairs((11, 13), l, k)
     assert len(lineage.leaves) == predicted_derived_count(l, k, 2)
     assert lineage_as_tuples(lineage) == oracle_lineage((11, 13), l, k)
@@ -391,6 +403,28 @@ def test_classify_propagation_with_neighbor():
     # 109 precedes 113 among level-4 prospectives
     outcome = classify_propagation((113, 121, 127), 4, 8, left_neighbor=109)
     assert outcome.gaps == (4 + 8, 6)
+
+
+def test_table1_is_the_four_cases_over_every_residue():
+    # Two views of one propagate step: a gap row is blank exactly where
+    # the case absorbs or merges that gap, and the disallowed cells sit
+    # at the mhat positions.
+    table = table1()
+    first = {PropagationCase.FIRST_ABSORBED, PropagationCase.MERGED}
+    second = {PropagationCase.MERGED, PropagationCase.SECOND_ABSORBED}
+    for m in range(nth_prime(5)):
+        roles = set(classify_propagation((113, 121, 127), 4, m).roles)
+        assert (table.gap_first[m] is None) == bool(roles & first), m
+        assert (table.gap_second[m] is None) == bool(roles & second), m
+    blanks = tuple(row.index(TableCell(None, False)) for row in table.rows)
+    assert blanks == table.mhat_positions == (8, 0, 5)
+    assert [sum(cell.value is None for cell in row) for row in table.rows] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("m", [11, -1])
+def test_classify_propagation_refuses_residue_out_of_range(m):
+    with pytest.raises(ValueError, match=rf"^m={m} outside \[0, 10\] at level 5$"):
+        classify_propagation((113, 121, 127), 4, m)
 
 
 def test_classify_propagation_rejects_non_consecutive():

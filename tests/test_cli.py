@@ -357,6 +357,42 @@ def test_lineage_root_search_meets_budget(capsys):
     assert code == 1 and out == "" and "sieve budget" in err
 
 
+def test_lineage_tree_past_cap_refused_before_any_node(capsys, monkeypatch):
+    # 20 -> 24 holds 38 525 949 leaves, about 10 GB as a tree: the cap of
+    # 2^15 leaves refuses it from the closed-form count, before any node.
+    def no_row(*args):
+        raise AssertionError("a node was built before the refusal")
+
+    monkeypatch.setattr(cli.census_mod, "_step_row", no_row)
+    with deadline(2.0):
+        code, out, err = run(capsys, "lineage", "-r", "20", "-k", "24", "-g", "2")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: 38525949 leaves exceed the lineage cap of 32768; "
+        "use predicted_derived_count for the size\n"
+    )
+
+
+def test_lineage_text_builds_no_json_payload(capsys, monkeypatch):
+    # Text prints one summary line: no dict per leaf and per step.
+    def no_payload(self):
+        raise AssertionError("built the JSON payload for text output")
+
+    monkeypatch.setattr(cli.census_mod.PairLineage, "to_json_dict", no_payload)
+    code, out, err = run(capsys, "lineage", "-r", "2", "-k", "4", "-g", "2")
+    assert (code, out, err) == (0, "root (5, 7) level 2 -> 4: 15 derived pairs (predicted 15)\n", "")
+
+
+# Theorem 3 bounds the descendants of a gap-g pair at level r: with no
+# such pair the premise fails, and bounds refuses rather than report a
+# failed check (-g 100) or a bound built from no root (-g 4).
+@pytest.mark.parametrize("l, g", [("4", "100"), ("5", "4")])
+def test_bounds_without_root_pair_is_an_error(capsys, l, g):
+    code, out, err = run(capsys, "bounds", "-r", "2", "-l", l, "-g", g)
+    assert code == 1
+    assert out == "" and err == f"error: no gap-{g} pair at level 2\n"
+
+
 def test_find_pair_budget_is_a_prefix(capsys):
     # find-pair searches (M, min(limit, M + budget)]: the answer does not
     # depend on whether the pair lies among the base primes.

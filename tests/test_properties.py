@@ -131,6 +131,16 @@ def test_gen_json_round_trip(case):
 ))
 def test_bounds_json_round_trip(case):
     r, l, g = case
+    if find_root_pair(r, g) is None:
+        # Theorem 3's premise fails: level 2 holds only the twin (5, 7),
+        # and level 3 no gap-8 pair.  Refused, with nothing on stdout.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["bounds", "-r", str(r), "-l", str(l), "-g", str(g), "--format", "json"])
+        assert code == 1 and out.getvalue() == ""
+        with pytest.raises(ValueError, match=f"^no gap-{g} pair at level {r}$"):
+            bound_report(r, l, g)
+        return
     code, payload = cli_json("bounds", "-r", r, "-l", l, "-g", g)
     report = bound_report(r, l, g)
     assert code == (0 if report.holds else 2)
