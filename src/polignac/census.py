@@ -303,32 +303,6 @@ class PairLineage:
     target_level: int
     leaves: list[LineageLeaf]
 
-    @property
-    def gap(self) -> int:
-        return self.root[1] - self.root[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "root": list(self.root),
-            "root_level": self.root_level,
-            "target_level": self.target_level,
-            "gap": self.gap,
-            "leaves": [
-                {
-                    "pair": list(leaf.pair),
-                    "steps": [
-                        {
-                            "level": s.level,
-                            "m": s.chosen_m,
-                            "disallowed": list(s.disallowed),
-                        }
-                        for s in leaf.steps
-                    ],
-                }
-                for leaf in self.leaves
-            ],
-        }
-
 
 def _require_levels(l: int, k: int) -> None:
     if not 2 <= l < k:

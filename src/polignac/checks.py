@@ -135,9 +135,7 @@ def check_bounds_vs_reality(max_level: int) -> str | None:
     pi(sqrt(P_l#)) by Lucy's recursion."""
     for l in range(3, min(max_level, 5) + 1):
         for g in (2, 4, 6):
-            r = 2 if g == 2 else 3  # least level holding a gap-g pair
-            if r > l:
-                continue
+            r = 2 if g == 2 else 3  # least level holding a gap-g pair, never above l
             report = bound_report(r, l, g)
             if not report.holds:
                 return f"r={r} l={l} g={g}: {report.observed} < {report.bound}"

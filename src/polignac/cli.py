@@ -14,9 +14,12 @@ offered (gen and census), a csv rendering, and ``_render`` picks one.
 So ``find-pair --format json`` with no hit prints
 ``{"gap": g, "pair": null}``, and ``census -g G --format csv`` prints
 the census header and the one row ``K,<scope>,G,<count>``, count 0 when
-the gap is absent.  ``gen`` streams instead: one chunk per sieve
-segment, in every format, so its memory does not grow with its output;
-its json is the bytes ``json.dumps`` would give, written piece by piece.
+the gap is absent.  ``gen`` and ``lineage`` stream instead: gen one
+chunk per sieve segment in every format, so its memory does not grow
+with its output, and lineage's json one chunk per leaf of its tree, so
+only the tree is held, not its text.  Both json outputs
+go through one writer, ``_json_stream``: the bytes ``json.dumps`` would
+give for the whole document, its frame cut from ``json.dumps`` itself.
 
 Exit codes: 0 success, 1 usage or range error, 2 an empirical
 verification that failed.  A refusal prints nothing on stdout; a value
@@ -41,8 +44,6 @@ import itertools
 import json
 import sys
 from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
 
 from . import census as census_mod
 from . import checks as checks_mod
@@ -86,15 +87,16 @@ def _parse_range(spec: str | None) -> tuple[int | None, int | None]:
 
 
 def _cmd_gen(args) -> Output:
-    """One chunk per segment of the range, so only one segment's values
-    are held at a time.  The first segment, if the range has one, is
-    drawn here, before main writes anything or opens --out, so a
-    refusal comes first."""
+    """One chunk per segment of the range, in every format, json through
+    _json_stream, so only one segment's values are held at a time.  The
+    first segment, if the range has one, is drawn here, before main
+    writes anything or opens --out, so a refusal comes first."""
     lo, hi = _parse_range(args.range)
     segments = wheel.prospective_segments(args.level, lo, hi, args.budget)
     segments = itertools.chain(list(itertools.islice(segments, 1)), segments)
     if args.format == "json":
-        return Output(_gen_json(args.level, segments))
+        values = ([f'"{start + o}"' for o in offsets.tolist()] for start, offsets in segments)
+        return Output(_json_stream({"level": args.level}, "values", values))
     lines = (
         "".join(f"{start + offset}\n" for offset in offsets.tolist())
         for start, offsets in segments
@@ -102,17 +104,21 @@ def _cmd_gen(args) -> Output:
     return Output(itertools.chain(["value\n"] if args.format == "csv" else [], lines))
 
 
-def _gen_json(level: int, segments: Iterable[tuple[int, np.ndarray]]) -> Iterator[str]:
-    """The bytes of json.dumps({"level": level, "values": [...]},
-    sort_keys=True, indent=2) and a newline, the values as decimal
-    strings, one chunk per segment."""
-    yield f'{{\n  "level": {level},\n  "values": ['
+def _json_stream(payload: dict, key: str, chunks: Iterable[list[str]]) -> Iterator[str]:
+    """The bytes of json.dumps({**payload, key: [...]}, sort_keys=True,
+    indent=2) and a newline, the list's items arriving as JSON text
+    indented to their depth, one chunk of them at a time.  The text
+    around the list is json.dumps's own, cut at the list."""
+    marker = f"{json.dumps(key)}: ["
+    head, _, tail = json.dumps({**payload, key: []}, sort_keys=True, indent=2).partition(marker)
+    yield head + marker
     sep = "\n    "
-    for start, offsets in segments:
-        if len(offsets):
-            yield sep + ",\n    ".join(f'"{start + offset}"' for offset in offsets.tolist())
+    for chunk in chunks:
+        if chunk:
+            yield sep + ",\n    ".join(chunk)
             sep = ",\n    "
-    yield "]\n}\n" if sep == "\n    " else "\n  ]\n}\n"
+        del chunk  # not held while the next chunk is built
+    yield ("" if sep == "\n    " else "\n  ") + tail + "\n"
 
 
 def _cmd_census(args) -> Output:
@@ -140,6 +146,8 @@ def _cmd_census(args) -> Output:
 
 
 def _cmd_lineage(args) -> Output:
+    """Text prints one summary line; json streams the tree, one chunk
+    per leaf, so the dicts of one leaf are held at a time."""
     root = census_mod.find_root_pair(args.root_level, args.gap, args.budget)
     if root is None:
         raise ValueError(f"no gap-{args.gap} pair at level {args.root_level}")
@@ -147,13 +155,29 @@ def _cmd_lineage(args) -> Output:
     predicted = census_mod.predicted_derived_count(
         args.root_level, args.level, args.gap
     )
-    # Only json prints the payload, one dict per leaf and per step.
-    return _render(
-        args,
-        {**lineage.to_json_dict(), "predicted": str(predicted)} if args.format == "json" else None,
-        f"root {root} level {args.root_level} -> {args.level}: "
-        f"{len(lineage.leaves)} derived pairs (predicted {predicted})\n",
-    )
+    if args.format == "text":
+        return Output(
+            [
+                f"root {root} level {args.root_level} -> {args.level}: "
+                f"{len(lineage.leaves)} derived pairs (predicted {predicted})\n"
+            ]
+        )
+    payload = {
+        "root": root,
+        "root_level": args.root_level,
+        "target_level": args.level,
+        "gap": args.gap,
+        "predicted": str(predicted),
+    }
+    leaves = ([_leaf_json(leaf)] for leaf in lineage.leaves)
+    return Output(_json_stream(payload, "leaves", leaves))
+
+
+def _leaf_json(leaf: census_mod.LineageLeaf) -> str:
+    """One leaf as JSON, indented as an item of the document's list."""
+    steps = [{"level": s.level, "m": s.chosen_m, "disallowed": s.disallowed} for s in leaf.steps]
+    text = json.dumps({"pair": leaf.pair, "steps": steps}, sort_keys=True, indent=2)
+    return text.replace("\n", "\n    ")
 
 
 def _cmd_verify(args) -> Output:

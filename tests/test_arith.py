@@ -47,6 +47,13 @@ def test_primorial_bound():
         primorial(26)
 
 
+def test_primorial_and_pi_refuse_below_their_range():
+    with pytest.raises(ValueError, match=r"^primorial index must be >= 1, got 0$"):
+        primorial(0)
+    with pytest.raises(ValueError, match=r"^pi\(x\) needs x >= 0, got -1$"):
+        prime_count_pi(-1)
+
+
 def test_primorial_divisibility():
     for k in range(1, 12):
         value = primorial(k)

@@ -501,6 +501,11 @@ def test_distribution_ratio_examples():
     assert distribution_ratio(6) > distribution_ratio(5)
 
 
+def test_distribution_ratio_refuses_level_below_4():
+    with pytest.raises(ValueError, match=r"^level must be >= 4, got 3$"):
+        distribution_ratio(3)
+
+
 # ---------------------------------------------------------------------------
 # the worked table
 

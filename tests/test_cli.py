@@ -2,13 +2,21 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from polignac import arith, checks, cli
 from polignac.arith import primorial
-from polignac.census import gap_census
+from polignac.census import (
+    GapCensus,
+    derive_pairs,
+    find_root_pair,
+    gap_census,
+    predicted_derived_count,
+)
 from polignac.cli import main
 from polignac.primepairs import BoundReport
 from conftest import oracle_prospective
@@ -373,14 +381,77 @@ def test_lineage_tree_past_cap_refused_before_any_node(capsys, monkeypatch):
     )
 
 
-def test_lineage_text_builds_no_json_payload(capsys, monkeypatch):
-    # Text prints one summary line: no dict per leaf and per step.
-    def no_payload(self):
-        raise AssertionError("built the JSON payload for text output")
+@pytest.mark.parametrize(
+    "argv", [["gen", "-k", "1"], ["census", "-k", "1"], ["lineage", "-r", "1", "-k", "3", "-g", "2"]]
+)
+def test_level_below_2_refused(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    assert run(capsys, *argv) == (1, "", "error: level must be >= 2, got 1\n")
+    assert run(capsys, *argv, "--out", str(path))[:2] == (1, "")
+    assert not path.exists()
 
-    monkeypatch.setattr(cli.census_mod.PairLineage, "to_json_dict", no_payload)
+
+def test_census_subset_and_range_refused(capsys):
+    code, out, err = run(capsys, "census", "-k", "5", "-m", "1", "--range", "5:100")
+    assert (code, out) == (1, "")
+    assert err == "error: give either subset or an explicit range, not both\n"
+
+
+def test_lineage_text_builds_no_json_payload(capsys, monkeypatch):
+    # Text prints one summary line: nothing is encoded as JSON.
+    def no_json(*args, **kwargs):
+        raise AssertionError("encoded JSON for text output")
+
+    monkeypatch.setattr(cli.json, "dumps", no_json)
     code, out, err = run(capsys, "lineage", "-r", "2", "-k", "4", "-g", "2")
     assert (code, out, err) == (0, "root (5, 7) level 2 -> 4: 15 derived pairs (predicted 15)\n", "")
+
+
+# lineage streams its json one leaf at a time; its bytes are those of
+# the whole document dumped at once, built here from the tree.
+@pytest.mark.parametrize("r, k, g", [(2, 4, 2), (3, 6, 4), (2, 7, 2), (4, 8, 2)])
+def test_lineage_json_streams_whole_output(capsys, r, k, g):
+    root = find_root_pair(r, g)
+    payload = {
+        "root": list(root),
+        "root_level": r,
+        "target_level": k,
+        "gap": g,
+        "predicted": str(predicted_derived_count(r, k, g)),
+        "leaves": [
+            {
+                "pair": list(leaf.pair),
+                "steps": [
+                    {"level": s.level, "m": s.chosen_m, "disallowed": list(s.disallowed)}
+                    for s in leaf.steps
+                ],
+            }
+            for leaf in derive_pairs(root, r, k).leaves
+        ],
+    }
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    argv = ["lineage", "-r", str(r), "-k", str(k), "-g", str(g), "--format", "json"]
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_lineage_json_holds_no_document(tmp_path, monkeypatch):
+    # 4 -> 8 is 25 245 leaves, a 15.4 MB document; streamed, the peak is
+    # the tree, about 7 MB, not the tree plus its text.  Each leaf's text
+    # is encoded before tracing: the indenting encoder is pure Python and
+    # runs ten times slower traced.  What main holds of it is traced.
+    leaves = derive_pairs(find_root_pair(4, 2), 4, 8).leaves
+    texts = {leaf.pair: cli._leaf_json(leaf) for leaf in leaves}
+    monkeypatch.setattr(cli, "_leaf_json", lambda leaf: texts[leaf.pair])
+    path = tmp_path / "lineage.json"
+    tracemalloc.start()
+    try:
+        code = main(["lineage", "-r", "4", "-k", "8", "-g", "2", "--format", "json",
+                     "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and path.stat().st_size == 15_402_146
+    assert peak < 10 * 2**20
 
 
 # Theorem 3 bounds the descendants of a gap-g pair at level r: with no
@@ -542,6 +613,49 @@ def test_verify_reports_failed_check(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--max-level", "3")
     assert code == 2 and err == ""
     assert out == "pass  codec-roundtrip\nFAIL  broken  (max_level=3)\n"
+
+
+# Each check reads one name of checks that, off by one, fails it: the
+# check, that name, the off-by-one stand-in, and the failure's detail.
+OFF_BY_ONE = [
+    (checks.check_prospective_counts, "prospective_segments",
+     lambda f: lambda k: [(0, [0]), *f(k)], "k=2: 3 != 2"),
+    (checks.check_twin_counts, "gap_census",
+     lambda f: lambda k: GapCensus(k, "full", {2: f(k).entries[2] + 1}), "k=3: 4 != 3"),
+    (checks.check_lineage_counts, "predicted_derived_count",
+     lambda f: lambda *args: f(*args) + 1, "l=2 k=3 g=2: 3 != 4"),
+    (checks.check_subset_gap_spectrum, "subset_gap_spectrum",
+     lambda f: lambda k: [g + 1 for g in f(k)], "k=3: [5, 5, 5, 7]"),
+    (checks.check_per_subset_minima, "predicted_derived_count",
+     lambda f: lambda *args: f(*args) + 1, "k=5: 11 < 12"),
+    (checks.check_mhat_delta, "mhat_delta",
+     lambda f: lambda k, g: f(k, g) + 1, "k=4 g=2 pair=(11,13): 6 != 7"),
+    (checks.check_below_square, "verify_prospective_below_square",
+     lambda f: lambda k: replace(f(k), least_composite=f(k).least_composite + 1),
+     "k=3: least=50"),
+    (checks.check_bounds_vs_reality, "k_for_level",
+     lambda f: lambda l: f(l) + 1, "l=3: sieved k=3 != pi k=4"),
+    (checks.check_consecutive_primes_prospective, "consecutive_primes_as_prospective",
+     lambda f: lambda k: f(k) - 1, "k=3"),
+    (checks.check_ratio_monotonicity, "distribution_ratio",
+     lambda f: lambda k: f(k) + 1, "distribution ratio >= 1"),
+    (checks.check_codec_roundtrip, "decode", lambda f: lambda cv: f(cv) + 1, "k=5 n=5"),
+]
+
+
+def test_off_by_one_covers_every_check():
+    assert [check for check, *_ in OFF_BY_ONE] == list(checks.ALL_CHECKS)
+
+
+@pytest.mark.parametrize(
+    "check, name, off_by_one, detail", OFF_BY_ONE, ids=[c.__name__ for c, *_ in OFF_BY_ONE]
+)
+def test_verify_fails_each_check(capsys, monkeypatch, check, name, off_by_one, detail):
+    monkeypatch.setattr(checks, name, off_by_one(getattr(checks, name)))
+    code, out, err = run(capsys, "verify", "--max-level", "6")
+    label = check.__name__.removeprefix("check_").replace("_", "-")
+    assert code == 2 and err == ""
+    assert f"FAIL  {label}  ({detail})" in out.splitlines()
 
 
 def test_verify_refuses_max_level_below_2_before_any_check(capsys, monkeypatch):

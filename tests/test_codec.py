@@ -44,6 +44,11 @@ def test_digit_range_enforced():
         CoeffVector(6, (0, 0), 4)
 
 
+def test_digit_count_enforced():
+    with pytest.raises(ValueError, match=r"^level 4 needs 2 digits, got 1$"):
+        CoeffVector(5, (0,), 4)
+
+
 def test_is_admissible_examples():
     assert is_admissible(encode(121, 4))
     assert not is_admissible(encode(25, 3))

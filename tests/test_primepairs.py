@@ -201,6 +201,11 @@ def test_consecutive_primes_as_prospective(k):
     assert consecutive_primes_as_prospective(k)
 
 
+def test_consecutive_primes_as_prospective_refuses_level_2():
+    with pytest.raises(ValueError, match=r"^need P_k > 3, got level 2$"):
+        consecutive_primes_as_prospective(2)
+
+
 def test_section5_gap_coverage():
     for k in range(3, 7):
         p_k = nth_prime(k)

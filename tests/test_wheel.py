@@ -33,6 +33,11 @@ def test_is_prospective_outside_window():
     assert not is_prospective(215, 4)
 
 
+def test_is_prospective_refuses_level_below_2():
+    with pytest.raises(ValueError, match=r"^level must be >= 2, got 1$"):
+        is_prospective(7, 1)
+
+
 def test_enumerate_small_windows():
     assert list(enumerate_prospective(2)) == [5, 7]
     assert list(enumerate_prospective(3)) == [7, 11, 13, 17, 19, 23, 29, 31]
