@@ -30,13 +30,16 @@ from .primepairs import (
 )
 from .wheel import (
     DisallowedIndex,
-    WheelWindow,
     enumerate_prospective,
+    is_consecutive,
     is_prospective,
     mhat,
+    next_prospective,
     propagate,
+    subset_bounds,
     subset_extremes,
     subset_of,
+    window_bounds,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,10 +6,15 @@ the four-case classification of what one propagation step does to a pair
 of adjacent gaps, exhaustive lineage trees for a single root pair with
 the closed-form count they must match, the search for a lineage's root
 pair among the window's first budget integers (by
-``arith.first_pair_with_gap``), subset boundary-gap spectra, and the
-constant separation of the two disallowed indices attached to a gap-g
-pair.  The per-subset minimum of a root pair's descendants is checked by
+``arith.first_pair_with_gap``), subset boundary-gap spectra (from the
+walk of ``wheel.subset_extremes``), and the constant separation of the
+two disallowed indices attached to a gap-g pair.  The per-subset minimum
+of a root pair's descendants is checked by
 ``checks.check_per_subset_minima``.
+
+A run taken as consecutive, a lineage's root pair or a propagated
+triple, is checked by ``wheel.is_consecutive``, which walks from member
+to member and sieves nothing.
 
 The four cases and the paper's worked Table 1 are two views of one step,
 ``wheel.propagate``: a case reads which members of a triple it marks
@@ -51,12 +56,13 @@ from .arith import (
     SIEVE_BUDGET, first_pair_with_gap, is_prime, nth_prime, primorial, segment_gaps
 )
 from .wheel import (
-    WheelWindow,
-    is_prospective,
+    is_consecutive,
     mhat,
     propagate,
     prospective_segments,
+    subset_bounds,
     subset_extremes,
+    window_bounds,
 )
 
 # The most leaves a lineage tree may hold.  Its size is
@@ -112,7 +118,7 @@ def gap_census(
     if subset is not None:
         if lo is not None or hi is not None:
             raise ValueError("give either subset or an explicit range, not both")
-        lo, hi = WheelWindow(k).subset(subset)
+        lo, hi = subset_bounds(k, subset)
         scope = f"subset:{subset}"
     elif lo is not None or hi is not None:
         scope = f"range:{lo}:{hi}"
@@ -198,19 +204,9 @@ def require_gap(g: int) -> None:
 
 def _require_consecutive(run: tuple[int, ...], k: int) -> None:
     """Refuse a run that is not every prospective prime of level k from
-    its first value to its last, in increasing order.
-
-    Nothing is sieved: the members are checked one by one, and then the
-    values between adjacent members, as ``subset_extremes`` scans, up to
-    the first prospective one.  A valid run costs its own gaps, and an
-    invalid one stops at its first skipped value.
-    """
-    adjacent = list(zip(run, run[1:]))
-    if not (
-        all(a < b for a, b in adjacent)
-        and all(is_prospective(n, k) for n in run)
-        and not any(is_prospective(n, k) for a, b in adjacent for n in range(a + 1, b))
-    ):
+    its first value to its last, in increasing order, as
+    ``wheel.is_consecutive`` walks it."""
+    if not is_consecutive(run, k):
         raise ValueError(f"{run} is not a run of consecutive prospective primes at level {k}")
 
 
@@ -232,9 +228,8 @@ class PropagationOutcome:
     When m hits none of the three disallowed indices the sole role is
     BOTH_PRESERVED and `gaps` carries (g, g').  An absorbed end gap
     extends by an unknown amount toward the neighbouring prospective
-    prime outside the triple; that extension is reported as None unless
-    the caller supplies the neighbour.  Coinciding disallowed indices
-    yield several roles at once.
+    prime outside the triple; that extension is reported as None.
+    Coinciding disallowed indices yield several roles at once.
     """
 
     roles: tuple[PropagationCase, ...]
@@ -242,13 +237,7 @@ class PropagationOutcome:
     merged_gap: int | None = None
 
 
-def classify_propagation(
-    triple: tuple[int, int, int],
-    k: int,
-    m: int,
-    left_neighbor: int | None = None,
-    right_neighbor: int | None = None,
-) -> PropagationOutcome:
+def classify_propagation(triple: tuple[int, int, int], k: int, m: int) -> PropagationOutcome:
     """Classify propagating a consecutive triple at level k with residue m:
     its roles are the members that ``propagate`` marks disallowed, and an
     m outside [0, P_{k+1} - 1] is refused there."""
@@ -256,11 +245,11 @@ def classify_propagation(
     p, p2, p3 = triple
     g, g2 = p2 - p, p3 - p2
     # The gap each role leaves, in role order: an absorbed end merges its
-    # gap with the one beyond the triple, unknown without the neighbour.
+    # gap with the one beyond the triple, which the triple does not know.
     gap_of = {
-        PropagationCase.FIRST_ABSORBED: None if left_neighbor is None else p2 - left_neighbor,
+        PropagationCase.FIRST_ABSORBED: None,
         PropagationCase.MERGED: g + g2,
-        PropagationCase.SECOND_ABSORBED: None if right_neighbor is None else right_neighbor - p2,
+        PropagationCase.SECOND_ABSORBED: None,
     }
     roles = tuple(
         role for role, q in zip(gap_of, triple) if propagate(q, k, m).disallowed
@@ -380,8 +369,7 @@ def find_root_pair(l: int, g: int, budget: int = SIEVE_BUDGET) -> tuple[int, int
     refused before anything is sieved.
     """
     require_gap(g)
-    window = WheelWindow(l)
-    return first_pair_with_gap(partial(prospective_segments, l), window.lo, window.hi, g, budget)
+    return first_pair_with_gap(partial(prospective_segments, l), *window_bounds(l), g, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ class CoeffVector:
     level: int
 
     def __post_init__(self) -> None:
+        if self.level < 2:
+            raise ValueError(f"level must be >= 2, got {self.level}")
         if self.base not in (5, 7):
             raise ValueError(f"base must be 5 or 7, got {self.base}")
         if len(self.digits) != self.level - 2:
@@ -39,6 +41,8 @@ class CoeffVector:
 def encode(n: int, k: int) -> CoeffVector:
     """Digit vector of n at level k; n must lie in the window and be
     coprime to 6."""
+    if k < 2:
+        raise ValueError(f"level must be >= 2, got {k}")
     if math.gcd(n, 6) != 1:
         raise ValueError(f"{n} is divisible by 2 or 3; not representable")
     if not 5 <= n <= 4 + primorial(k):

@@ -8,6 +8,11 @@ level, evaluates the lower bound on gap-g prime pairs inside
 bound from one level to the next, and searches for prime pairs above a
 threshold.
 
+The two level-by-level checks sieve nothing.  The values coprime to
+P_k# above P_k come one at a time from ``wheel.next_prospective``, and
+P_k, P_{k+1} are checked as a consecutive pair of level k - 1 by
+``wheel.is_consecutive``.
+
 Theorem 3's primes come from one sieve: P_1, ..., P_k are the primes
 up to sqrt(P_l#), so k is their number.  ``bound_report`` first checks
 the theorem's premise, a gap-g pair at level r, by the root search of
@@ -42,7 +47,7 @@ from .arith import (
     primorial, segment_gaps, sieve_primes,
 )
 from .census import find_root_pair, predicted_derived_count, require_gap
-from .wheel import enumerate_prospective
+from .wheel import is_consecutive, next_prospective
 
 
 def k_for_level(l: int) -> int:
@@ -233,24 +238,18 @@ def verify_prospective_below_square(k: int) -> SquareReport:
     P_k and P_{k+1}^2 is prime, and locate the least composite
     prospective prime (which should be exactly P_{k+1}^2).
 
-    Coprimality to P_k# extends periodically past the window, so the
-    scan keeps going beyond it when the window ends before the square
-    (which happens at k = 3).  The scan reads odd values only, from the
-    first one above P_k (3 at k = 1, where P_1 = 2 is even)."""
-    p_k = nth_prime(k)
-    wheel = primorial(k)
-    square = nth_prime(k + 1) ** 2
-    n = (p_k + 1) | 1
-    while math.gcd(n, wheel) != 1 or is_prime(n):
-        n += 2
-    return SquareReport(level=k, holds=n >= square, least_composite=n)
+    The values coprime to P_k# above P_k come from
+    ``wheel.next_prospective``, whose walk runs on past the window when
+    it ends before the square (which happens at k = 3)."""
+    n = next_prospective(nth_prime(k) + 1, k)
+    while is_prime(n):
+        n = next_prospective(n + 1, k)
+    return SquareReport(level=k, holds=n >= nth_prime(k + 1) ** 2, least_composite=n)
 
 
 def consecutive_primes_as_prospective(k: int) -> bool:
     """True iff P_k and P_{k+1} sit adjacent in the level-(k-1)
-    prospective stream."""
+    prospective stream, as ``wheel.is_consecutive`` walks it."""
     if nth_prime(k) <= 3:
         raise ValueError(f"need P_k > 3, got level {k}")
-    p_k, p_next = nth_prime(k), nth_prime(k + 1)
-    stream = list(enumerate_prospective(k - 1, p_k, p_next))
-    return stream == [p_k, p_next]
+    return is_consecutive((nth_prime(k), nth_prime(k + 1)), k - 1)

@@ -2,12 +2,20 @@
 
 A level-k window runs from 5 to 4 + P_k# and holds one full residue
 cycle of the wheel over the first k primes.  A prospective prime at
-level k is any window member coprime to P_k#; it tiles into P_k subsets
-of width P_{k-1}#.  Propagation carries a prospective prime from one
-level to the next by adding m * P_k#, with exactly one residue m
-(the disallowed index) producing a multiple of P_{k+1}.
+level k is any window member coprime to P_k#.  ``window_bounds`` gives
+the window, and ``subset_bounds`` each of its P_k subsets of width
+P_{k-1}#.  Propagation carries a prospective prime from one level to
+the next by adding m * P_k#, with exactly one residue m (the disallowed
+index) producing a multiple of P_{k+1}.
 
-Prospective primes are found by the one sieve driver,
+A few values at a time are found without a sieve.  ``is_prospective``
+tests one value with a single gcd.  ``next_prospective`` walks up to
+the next value coprime to P_k#, and its mirror ``-next_prospective(-n,
+k)`` walks down; Jacobsthal's function bounds both walks.
+``is_consecutive`` checks a run of prospective primes by that walk, and
+``subset_extremes`` finds a subset's ends by it.
+
+Whole windows, subsets and ranges are found by the one sieve driver,
 ``arith.strike_segments``: every wheel holds 2, so it masks only the
 odd integers of each segment of the window, segments that grow from
 ``arith.FIRST_SEGMENT`` to ``arith.SEGMENT_SIZE`` integers, and strikes
@@ -28,7 +36,6 @@ at the default budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -36,37 +43,18 @@ import numpy as np
 from .arith import SIEVE_BUDGET, mod_inverse, nth_prime, primorial, strike_segments
 
 
-@dataclass(frozen=True)
-class WheelWindow:
-    """The level-k window [5, 4 + P_k#] and its subset geometry."""
+def window_bounds(k: int) -> tuple[int, int]:
+    """The level-k window [5, 4 + P_k#]."""
+    return 5, 4 + primorial(k)
 
-    k: int
 
-    @property
-    def lo(self) -> int:
-        return 5
-
-    @property
-    def hi(self) -> int:
-        return 4 + primorial(self.k)
-
-    @property
-    def subset_width(self) -> int:
-        return primorial(self.k - 1)
-
-    @property
-    def subset_count(self) -> int:
-        return nth_prime(self.k)
-
-    def subset(self, m: int) -> tuple[int, int]:
-        """Bounds (lo, hi) of subset m, the window's m-th stretch of
-        width P_{k-1}#."""
-        if not 0 <= m < self.subset_count:
-            raise ValueError(
-                f"subset {m} outside [0, {self.subset_count - 1}] at level {self.k}"
-            )
-        lo = self.lo + m * self.subset_width
-        return lo, lo + self.subset_width - 1
+def subset_bounds(k: int, m: int) -> tuple[int, int]:
+    """Bounds (lo, hi) of subset m, the level-k window's m-th stretch of
+    width P_{k-1}#."""
+    if not 0 <= m < nth_prime(k):
+        raise ValueError(f"subset {m} outside [0, {nth_prime(k) - 1}] at level {k}")
+    width = primorial(k - 1)
+    return 5 + m * width, 4 + (m + 1) * width
 
 
 class DisallowedIndex(NamedTuple):
@@ -92,6 +80,31 @@ def is_prospective(n: int, k: int) -> bool:
     return math.gcd(n, primorial(k)) == 1
 
 
+def next_prospective(n: int, k: int) -> int:
+    """The least value >= n coprime to P_k#, inside the level-k window
+    or not: coprimality is periodic, so the walk runs on past either
+    end.  -m is coprime to P_k# when m is, so -next_prospective(-n, k)
+    is the greatest such value <= n.  The walk takes fewer steps than
+    Jacobsthal's j(P_k#), the longest run of values that all share a
+    factor with P_k#, so it never hangs."""
+    wheel = primorial(k)
+    while math.gcd(n, wheel) != 1:
+        n += 1
+    return n
+
+
+def is_consecutive(run: tuple[int, ...], k: int) -> bool:
+    """True iff run is every prospective prime of level k from its first
+    value to its last, in increasing order: each member sits in the
+    window and is coprime to P_k#, and the walk up from one past each
+    member stops at the next member.  Nothing is sieved; a valid run
+    costs its own gaps, and an invalid one stops at its first skipped
+    value."""
+    return all(is_prospective(n, k) for n in run) and all(
+        next_prospective(a + 1, k) == b for a, b in zip(run, run[1:])
+    )
+
+
 def prospective_segments(
     k: int,
     lo: int | None = None,
@@ -108,27 +121,20 @@ def prospective_segments(
         raise ValueError(f"level must be >= 2, got {k}")
     if lo is not None and hi is not None and lo > hi:
         raise ValueError(f"range {lo}:{hi} has lo > hi")
-    window = WheelWindow(k)
-    start = window.lo if lo is None else max(lo, window.lo)
-    end = window.hi if hi is None else min(hi, window.hi)
+    first, last = window_bounds(k)
+    start = first if lo is None else max(lo, first)
+    end = last if hi is None else min(hi, last)
     if start > end:
-        raise ValueError(
-            f"range {lo}:{hi} misses the level-{k} window [{window.lo}, {window.hi}]"
-        )
+        raise ValueError(f"range {lo}:{hi} misses the level-{k} window [{first}, {last}]")
     # Every wheel holds 2 (k >= 2), so the odd-only driver strikes P_2..P_k.
     primes = np.array([nth_prime(i) for i in range(2, k + 1)], dtype=np.int64)
     return strike_segments(start, end, primes, budget)
 
 
-def enumerate_prospective(
-    k: int,
-    lo: int | None = None,
-    hi: int | None = None,
-    budget: int = SIEVE_BUDGET,
-) -> Iterator[int]:
+def enumerate_prospective(k: int, lo: int | None = None, hi: int | None = None) -> Iterator[int]:
     """All prospective primes of level k in [lo, hi], increasing, as
     Python ints."""
-    for start, offsets in prospective_segments(k, lo, hi, budget):
+    for start, offsets in prospective_segments(k, lo, hi):
         yield from (start + offset for offset in offsets.tolist())
 
 
@@ -161,21 +167,20 @@ def propagate(p_tilde: int, k: int, m: int) -> Propagated:
 
 def subset_of(n: int, k: int) -> int:
     """Index m of the width-P_{k-1}# subset of the level-k window holding n."""
-    window = WheelWindow(k)
-    if not window.lo <= n <= window.hi:
-        raise ValueError(f"{n} outside level-{k} window [{window.lo}, {window.hi}]")
-    return (n - 5) // window.subset_width
+    lo, hi = window_bounds(k)
+    if not lo <= n <= hi:
+        raise ValueError(f"{n} outside level-{k} window [{lo}, {hi}]")
+    return (n - 5) // primorial(k - 1)
 
 
 def subset_extremes(k: int, m: int) -> tuple[int, int]:
     """(least, greatest) prospective prime in subset m of the level-k
-    window.  Each end is scanned value by value: the scan stops at the
-    first prospective prime, a few values in, where a sieve would cover
-    the subset's P_{k-1}# integers.  A subset with no prospective prime,
-    [9, 10] at level 2, is refused."""
-    lo, hi = WheelWindow(k).subset(m)
-    least = next((n for n in range(lo, hi + 1) if is_prospective(n, k)), None)
-    if least is None:
+    window: the walk up from its low end and down from its high end,
+    each a few values long where a sieve would cover the subset's
+    P_{k-1}# integers.  A subset with no prospective prime, [9, 10] at
+    level 2, is refused."""
+    lo, hi = subset_bounds(k, m)
+    least = next_prospective(lo, k)
+    if least > hi:
         raise ValueError(f"subset {m} of the level-{k} window holds no prospective prime")
-    greatest = next(n for n in range(hi, lo - 1, -1) if is_prospective(n, k))
-    return least, greatest
+    return least, -next_prospective(-hi, k)

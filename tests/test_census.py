@@ -384,6 +384,7 @@ def test_classify_propagation_examples():
 
     absorbed = classify_propagation((113, 121, 127), 4, 8)
     assert absorbed.roles == (PropagationCase.FIRST_ABSORBED,)
+    assert absorbed.gaps == (None, 6)  # the gap beyond the triple is unknown
 
     preserved = classify_propagation((113, 121, 127), 4, 1)
     assert preserved.roles == (PropagationCase.BOTH_PRESERVED,)
@@ -397,12 +398,6 @@ def test_classify_propagation_case_counts():
         o for o in outcomes if o.roles == (PropagationCase.BOTH_PRESERVED,)
     ]
     assert len(preserved) == nth_prime(5) - 3
-
-
-def test_classify_propagation_with_neighbor():
-    # 109 precedes 113 among level-4 prospectives
-    outcome = classify_propagation((113, 121, 127), 4, 8, left_neighbor=109)
-    assert outcome.gaps == (4 + 8, 6)
 
 
 def test_table1_is_the_four_cases_over_every_residue():

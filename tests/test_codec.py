@@ -49,6 +49,16 @@ def test_digit_count_enforced():
         CoeffVector(5, (0,), 4)
 
 
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_level_below_2_refused(k):
+    # Refused first, in the wording of every other level refusal, not by
+    # the digit count or the primorial index.
+    with pytest.raises(ValueError, match=rf"^level must be >= 2, got {k}$"):
+        encode(5, k)
+    with pytest.raises(ValueError, match=rf"^level must be >= 2, got {k}$"):
+        CoeffVector(5, (), k)
+
+
 def test_is_admissible_examples():
     assert is_admissible(encode(121, 4))
     assert not is_admissible(encode(25, 3))

@@ -129,3 +129,21 @@ def test_every_public_name_is_reached():
     defined = {name for m in MODULES if m.name != "__init__.py" for name in _public_definitions(m)}
     unreached = sorted(defined - reached)
     assert not unreached, f"public names that nothing reaches: {unreached}"
+
+
+def test_coprimality_to_the_wheel_lives_in_wheel():
+    # One "is this coprime to P_k#" path: outside wheel.py a gcd may only
+    # test coprimality to 6, the codec's domain, so that no scan of its
+    # own grows back elsewhere.
+    for module in MODULES:
+        if module.name == "wheel.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "gcd":
+                assert any(
+                    isinstance(arg, ast.Constant) and arg.value == 6 for arg in node.args
+                ), (module.name, node.lineno)

@@ -1,25 +1,39 @@
 import math
 
+import numpy as np
 import pytest
 
+from polignac import wheel
 from polignac.arith import nth_prime, primorial
+from polignac.census import classify_propagation, subset_gap_spectrum
+from polignac.primepairs import consecutive_primes_as_prospective, verify_prospective_below_square
 from polignac.wheel import (
-    WheelWindow,
     enumerate_prospective,
+    is_consecutive,
     is_prospective,
     mhat,
+    next_prospective,
     propagate,
+    subset_bounds,
     subset_extremes,
     subset_of,
+    window_bounds,
 )
 from conftest import mhat_by_alpha_search, oracle_prospective
 
 
 def test_window_geometry():
+    # The P_k subsets tile the window, each P_{k-1}# wide.
     for k in range(2, 9):
-        window = WheelWindow(k)
-        assert window.hi - window.lo + 1 == primorial(k)
-        assert window.subset_count * window.subset_width == primorial(k)
+        lo, hi = window_bounds(k)
+        assert (lo, hi - lo + 1) == (5, primorial(k))
+        subsets = [subset_bounds(k, m) for m in range(nth_prime(k))]
+        assert subsets[0][0] == lo and subsets[-1][1] == hi
+        assert all(b - a + 1 == primorial(k - 1) for a, b in subsets)
+        assert all(b + 1 == c for (_, b), (c, _) in zip(subsets, subsets[1:]))
+    for m in (-1, 7):
+        with pytest.raises(ValueError, match=rf"^subset {m} outside \[0, 6\] at level 4$"):
+            subset_bounds(4, m)
 
 
 def test_is_prospective_examples():
@@ -160,3 +174,63 @@ def test_subset_extremes_match_enumeration_and_closed_forms(k):
         if greatest == (m + 1) * width - 1:
             at_minus_one += 1
     assert at_minus_one == 1
+
+
+# ---------------------------------------------------------------------------
+# the walk
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_next_prospective_and_its_mirror_match_gcd(k):
+    # Every n of two periods on either side of 0: the walks cross both
+    # window ends, and agree with the definition by periodicity beyond.
+    # The coprime values, from -2 P_k# - 1 to 2 P_k# + 1, answer by
+    # binary search.
+    period = primorial(k)
+    values = np.arange(-2 * period, 2 * period)
+    span = np.arange(-2 * period - 1, 2 * period + 2)
+    coprime = span[np.gcd(span, period) == 1]
+    up = [next_prospective(n, k) for n in values.tolist()]
+    down = [-next_prospective(-n, k) for n in values.tolist()]
+    assert np.array_equal(up, coprime[np.searchsorted(coprime, values, "left")])
+    assert np.array_equal(down, coprime[np.searchsorted(coprime, values, "right") - 1])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_is_consecutive_matches_oracle_runs(k):
+    members = oracle_prospective(k)
+    for length in (1, 2, 3):
+        for i in range(len(members) - length + 1):
+            assert is_consecutive(tuple(members[i : i + length]), k)
+    for a, b, c in zip(members, members[1:], members[2:]):
+        assert not is_consecutive((a, c), k)  # skips b
+        assert not is_consecutive((a, b, b, c), k)
+        assert not is_consecutive((b, a), k)
+        assert not is_consecutive((a, c, b), k)
+        assert not is_consecutive((a, b + 1), k)
+    # Adjacent coprime values, a period either side of the window: a
+    # pair is a run exactly when both sit in the window.
+    period = primorial(k)
+    coprime = [n for n in range(-period, 2 * period) if math.gcd(n, period) == 1]
+    for a, b in zip(coprime, coprime[1:]):
+        assert is_consecutive((a, b), k) == (5 <= a and b <= 4 + period), (a, b)
+
+
+def test_walks_sieve_nothing(monkeypatch):
+    # The per-value paths answer from the walk: with the sieve made to
+    # raise, each gives what it gave with it.
+    def calls():
+        return (
+            [subset_extremes(6, m) for m in range(nth_prime(6))],
+            subset_gap_spectrum(7),
+            [consecutive_primes_as_prospective(k) for k in range(3, 9)],
+            [verify_prospective_below_square(k) for k in range(1, 9)],
+            [classify_propagation((113, 121, 127), 4, m) for m in range(nth_prime(5))],
+        )
+
+    expected = calls()
+
+    def refuse(*args):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(wheel, "strike_segments", refuse)
+    assert calls() == expected
