@@ -351,7 +351,9 @@ def primorial(k: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality by Miller-Rabin with a fixed witness set,
-    exact for every n below psi_13 ~ 3.3e24; larger n are refused."""
+    exact for every n below psi_13 ~ 3.3e24; larger n are refused.  Trial
+    division by the witnesses comes first, and decides every n below
+    43^2 = 1849 on its own."""
     if n >= _MR_LIMIT:
         raise ValueError(f"is_prime is exact only below {_MR_LIMIT}, got {n}")
     if n < 2:
@@ -359,6 +361,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:
+        return True  # no prime factor up to 41, the last witness, and below 43^2
     return _miller_rabin(n)
 
 

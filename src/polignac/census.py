@@ -33,12 +33,16 @@ less one at the level-k wrap gap P_{k+1} - 1, exact while every
 G_i < 2 P_k.  One pass over the level-(k - 1) window, P_k times fewer
 integers, gives the level-k census; subsets and ranges are sieved.
 
-A lineage tree grows level by level as LineageLeaf tuples, each node
-built once.  mhat is linear, so one mhat call per level gives every
-node's disallowed index; the nodes with the same index share one row of
-LineageSteps.  A child x + m * P_j# lies in the m-th stretch of width
-P_j#, so children emitted residue by residue over an increasing
-frontier come out increasing, and the tree needs no sort.
+A lineage tree is one sieve over the digit space.  The descendants of
+a root (a, a + g) of level l at level k are the x = a + t P_l#, t below
+P_k# / P_l#, that no P_{l+1}..P_k divides, nor x + g: two residue
+classes of t per prime, struck by one ``arith._strike`` call, and the
+survivors, read in order, are the leaves in increasing order.  A leaf
+carries only its pair.  Its steps are the mixed-radix digits of t, read
+off on demand by ``PairLineage.steps``, and mhat is linear, so each
+step's disallowed pair is the ancestor times mhat(1) mod the level's
+prime: one table of steps per level, built on the first call, serves
+every leaf.
 """
 
 from __future__ import annotations
@@ -47,16 +51,19 @@ import enum
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .arith import (
-    SIEVE_BUDGET, first_pair_with_gap, is_prime, nth_prime, primorial, segment_gaps
+    SIEVE_BUDGET, _strike, first_pair_with_gap, is_prime, mod_inverse, nth_prime, primorial,
+    segment_gaps,
 )
 from .wheel import (
     is_consecutive,
+    is_prospective,
     mhat,
     propagate,
     prospective_segments,
@@ -279,7 +286,6 @@ class LineageStep(NamedTuple):
 
 class LineageLeaf(NamedTuple):
     pair: tuple[int, int]
-    steps: tuple[LineageStep, ...]
 
 
 @dataclass
@@ -291,6 +297,40 @@ class PairLineage:
     root_level: int
     target_level: int
     leaves: list[LineageLeaf]
+
+    @cached_property
+    def _levels(self) -> list[tuple[int, int, int, list[list[LineageStep]]]]:
+        """(P_{j+1}, mhat(1, j + 1), P_j#, rows) for each level j + 1
+        entered, built once per lineage: rows[hat][m] is the step taken
+        with residue m from an ancestor whose disallowed index is hat."""
+        g, levels = self.root[1] - self.root[0], []
+        for j in range(self.root_level, self.target_level):
+            p, unit = nth_prime(j + 1), mhat(1, j + 1).value
+            rows = [[LineageStep(j + 1, m, (hat, (hat + g * unit) % p)) for m in range(p)]
+                    for hat in range(p)]
+            levels.append((p, unit, primorial(j), rows))
+        return levels
+
+    def steps(self, leaf: LineageLeaf) -> tuple[LineageStep, ...]:
+        """The steps from the root to leaf, one per level entered.
+
+        A leaf x is a + t P_l#, and the m taken entering level j + 1 is
+        the digit (t // (P_j# / P_l#)) mod P_{j+1}.  mhat is linear, so
+        the ancestor x_j's disallowed index is x_j mhat(1, j + 1) mod
+        P_{j+1}, and x_j + g's is that plus g mhat(1, j + 1).  A pair
+        that is not a leaf, a gap-g pair of prospective primes of the
+        target level congruent to the root mod P_l#, is refused."""
+        (a, b), (x, y), k = self.root, leaf.pair, self.target_level
+        step = primorial(self.root_level)
+        if y - x != b - a or (x - a) % step or not (is_prospective(x, k) and is_prospective(y, k)):
+            raise ValueError(f"{leaf.pair} is not a leaf of the lineage of {self.root} "
+                             f"from level {self.root_level} to {k}")
+        digits, ancestor, steps = (x - a) // step, a, []
+        for p, unit, width, rows in self._levels:
+            digits, m = divmod(digits, p)
+            steps.append(rows[ancestor * unit % p][m])
+            ancestor += m * width
+        return tuple(steps)
 
 
 def _require_levels(l: int, k: int) -> None:
@@ -315,48 +355,35 @@ def derive_pairs(root: tuple[int, int], l: int, k: int) -> PairLineage:
     """All gap-g descendants of one consecutive pair, level l up to k,
     increasing; the leaf count must equal predicted_derived_count(l, k, g).
 
-    Every node is a LineageLeaf, built once.  Entering level j + 1, both
-    members of (x, x + g) take the same residue m, any but their two
-    disallowed indices.  mhat is linear, so one call per level, for 1,
-    gives x's index as x times it mod P_{j+1}, and x + g's is that plus
-    the index of g, mhat_delta(j + 1, g); the nodes with the same index
-    share one row of LineageSteps, None at the two disallowed m.  The
-    child x + m * P_j# of a node x of the level-j window [5, 4 + P_j#]
-    lies in the m-th stretch of width P_j#, so children emitted m by m
-    over an increasing frontier are increasing: no sort.  Refused, before
-    any node is built: l < 2 or k <= l (as predicted_derived_count
-    refuses them), a root that is not a consecutive pair, and a tree of
-    more than LINEAGE_CAP leaves.
+    The descendants of (a, a + g) are the x = a + t P_l#, t below
+    P_k# / P_l#, that no P_i, l < i <= k, divides, nor x + g.  Each P_i
+    bars two classes of t, -a (P_l#)^-1 and -(a + g) (P_l#)^-1 mod P_i,
+    one when P_i divides g, so one ``arith._strike`` call on a mask of
+    one flag per t strikes every level at once, and its survivors, in
+    increasing t, are the leaves in increasing order.  The leaves are
+    built as Python ints, so trees past 2^63 stay exact; their steps are
+    read off by ``PairLineage.steps``.  Refused, before anything is
+    struck: l < 2 or k <= l (as predicted_derived_count refuses them), a
+    root that is not a consecutive pair, and a tree of more than
+    LINEAGE_CAP leaves.
     """
     _require_levels(l, k)
     _require_consecutive(root, l)
-    g = root[1] - root[0]
-    if (size := predicted_derived_count(l, k, g)) > LINEAGE_CAP:
-        raise ValueError(
-            f"{size} leaves exceed the lineage cap of {LINEAGE_CAP}; "
-            "use predicted_derived_count for the size"
-        )
-    frontier = [LineageLeaf(root, ())]
-    for j in range(l, k):
-        p, step_size, unit = nth_prime(j + 1), primorial(j), mhat(1, j + 1).value
-        hats = [a * unit % p for (a, _), _ in frontier]
-        rows = {hat: _step_row(j + 1, p, (hat, (hat + g * unit) % p)) for hat in set(hats)}
-        nodes = [(a, b, steps, rows[hat]) for ((a, b), steps), hat in zip(frontier, hats)]
-        frontier = []
-        for m in range(p):
-            shift = m * step_size
-            frontier += [
-                LineageLeaf((a + shift, b + shift), steps + (step,))
-                for a, b, steps, row in nodes
-                if (step := row[m]) is not None
-            ]
-    return PairLineage(root=root, root_level=l, target_level=k, leaves=frontier)
-
-
-def _step_row(level: int, p: int, disallowed: tuple[int, int]) -> list[LineageStep | None]:
-    """The step taken with each residue m < p into level, None at the
-    two disallowed m."""
-    return [None if m in disallowed else LineageStep(level, m, disallowed) for m in range(p)]
+    a, b = root
+    if (size := predicted_derived_count(l, k, b - a)) > LINEAGE_CAP:
+        raise ValueError(f"{size} leaves exceed the lineage cap of {LINEAGE_CAP}; "
+                         "use predicted_derived_count for the size")
+    step = primorial(l)
+    # One (P_i, first t) row per class; a set, as a = a + g mod P_i when P_i | g.
+    struck = np.array([(p, -q * mod_inverse(step, p) % p)
+                       for p in map(nth_prime, range(l + 1, k + 1)) for q in {a % p, b % p}],
+                      dtype=np.int64)
+    flags = _strike(primorial(k) // step, struck[:, 0], struck[:, 1])
+    pairs = [(a + t * step, b + t * step) for t in np.flatnonzero(flags).tolist()]
+    # tuple.__new__ wraps each pair in C, where the constructor that
+    # NamedTuple writes is a Python call per leaf: a third of the build.
+    leaves = list(map(tuple.__new__, repeat(LineageLeaf), zip(pairs)))
+    return PairLineage(root=root, root_level=l, target_level=k, leaves=leaves)
 
 
 def find_root_pair(l: int, g: int, budget: int = SIEVE_BUDGET) -> tuple[int, int] | None:

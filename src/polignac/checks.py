@@ -93,9 +93,10 @@ def check_subset_gap_spectrum(max_level: int) -> str | None:
 def check_per_subset_minima(max_level: int) -> str | None:
     """Every subset of the level-k window holds at least
     (P_{k-1} - 4) * n(k - 2) descendants of the twin root (5, 7) of
-    level 2, n(j) its descendant count at level j.  k stops at 6, a tree
-    of 1 485 leaves; the lineage cap of 2^15 leaves would admit k = 7."""
-    for k in range(5, min(max_level, 6) + 1):
+    level 2, n(j) its descendant count at level j.  k stops at 7, a tree
+    of 22 275 leaves, the widest the lineage cap of 2^15 leaves admits
+    from (5, 7); its least subset holds 1 307 against the bound 1 215."""
+    for k in range(5, min(max_level, 7) + 1):
         counts = [0] * nth_prime(k)
         for leaf in derive_pairs((5, 7), 2, k).leaves:
             counts[subset_of(leaf.pair[0], k)] += 1

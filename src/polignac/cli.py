@@ -32,8 +32,8 @@ find-pair may cover, and the prefix of its range that ``lineage`` or
 ``find-pair`` searches for a pair.  It is the only setting: nothing is
 read from the environment, and the lineage cap, the most leaves a
 ``lineage`` tree may hold, is the constant ``census.LINEAGE_CAP``; a
-larger tree is refused from its closed-form count before any node is
-built.  Exact quantities appear in JSON output as
+larger tree is refused from its closed-form count before anything is
+struck.  Exact quantities appear in JSON output as
 decimal strings, never floats.
 """
 
@@ -152,16 +152,10 @@ def _cmd_lineage(args) -> Output:
     if root is None:
         raise ValueError(f"no gap-{args.gap} pair at level {args.root_level}")
     lineage = census_mod.derive_pairs(root, args.root_level, args.level)
-    predicted = census_mod.predicted_derived_count(
-        args.root_level, args.level, args.gap
-    )
+    predicted = census_mod.predicted_derived_count(args.root_level, args.level, args.gap)
     if args.format == "text":
-        return Output(
-            [
-                f"root {root} level {args.root_level} -> {args.level}: "
-                f"{len(lineage.leaves)} derived pairs (predicted {predicted})\n"
-            ]
-        )
+        return Output([f"root {root} level {args.root_level} -> {args.level}: "
+                       f"{len(lineage.leaves)} derived pairs (predicted {predicted})\n"])
     payload = {
         "root": root,
         "root_level": args.root_level,
@@ -169,14 +163,21 @@ def _cmd_lineage(args) -> Output:
         "gap": args.gap,
         "predicted": str(predicted),
     }
-    leaves = ([_leaf_json(leaf)] for leaf in lineage.leaves)
+    leaves = ([_leaf_json(lineage, leaf)] for leaf in lineage.leaves)
     return Output(_json_stream(payload, "leaves", leaves))
 
 
-def _leaf_json(leaf: census_mod.LineageLeaf) -> str:
-    """One leaf as JSON, indented as an item of the document's list."""
-    steps = [{"level": s.level, "m": s.chosen_m, "disallowed": s.disallowed} for s in leaf.steps]
-    text = json.dumps({"pair": leaf.pair, "steps": steps}, sort_keys=True, indent=2)
+# json.dumps would build an encoder per leaf: the leaves share one, and
+# a leaf's dict of ints and tuples holds no cycle to check for.
+_LEAF_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, check_circular=False)
+
+
+def _leaf_json(lineage: census_mod.PairLineage, leaf: census_mod.LineageLeaf) -> str:
+    """One leaf of lineage, with its steps, as JSON, indented as an item
+    of the document's list."""
+    steps = [{"level": s.level, "m": s.chosen_m, "disallowed": s.disallowed}
+             for s in lineage.steps(leaf)]
+    text = _LEAF_ENCODER.encode({"pair": leaf.pair, "steps": steps})
     return text.replace("\n", "\n    ")
 
 

@@ -74,6 +74,18 @@ def test_is_prime_matches_trial_division_exhaustive(small_primes):
         assert is_prime(n) == (n in prime_set)
 
 
+def test_is_prime_below_43_squared_needs_no_miller_rabin(small_primes, monkeypatch):
+    # Trial division by the witnesses, the primes up to 41, decides every
+    # n below 43^2 = 1849: a composite there has a factor up to 41.
+    def no_miller_rabin(n):
+        raise AssertionError(f"Miller-Rabin ran on {n}")
+
+    monkeypatch.setattr(arith, "_miller_rabin", no_miller_rabin)
+    prime_set = set(small_primes)
+    for n in range(43 * 43):
+        assert is_prime(n) == (n in prime_set)
+
+
 def test_is_prime_above_64_bits():
     assert is_prime((1 << 61) - 1)  # Mersenne prime
     assert not is_prime((1 << 64) + 1)  # 274177 * 67280421310721, Miller-Rabin

@@ -158,15 +158,15 @@ def test_derive_pairs_examples():
 def test_derive_pairs_cap(monkeypatch):
     # The cap is a leaf count, 2^15: 2 -> 6 (1 485 leaves) and 2 -> 7
     # (22 275) are expanded; 2 -> 8 (378 675) and 5 -> 9 (58 905, a span
-    # of 4 levels) are refused before any node is built.
+    # of 4 levels) are refused before anything is struck.
     assert census.LINEAGE_CAP == 32768
     for k in (6, 7):
         assert len(derive_pairs((5, 7), 2, k).leaves) == predicted_derived_count(2, k, 2)
 
-    def no_row(*args):
-        raise AssertionError("a node was built before the refusal")
+    def no_strike(*args):
+        raise AssertionError("the digit space was struck before the refusal")
 
-    monkeypatch.setattr(census, "_step_row", no_row)
+    monkeypatch.setattr(census, "_strike", no_strike)
     for root, l, k, size in (((5, 7), 2, 8, 378675), ((29, 31), 5, 9, 58905)):
         assert predicted_derived_count(l, k, 2) == size
         message = f"^{size} leaves exceed the lineage cap of 32768; use predicted_derived_count"
@@ -303,7 +303,7 @@ def oracle_lineage_cases(max_leaves=2000):
 
 def lineage_as_tuples(lineage):
     return [
-        (leaf.pair, tuple((s.level, s.chosen_m, s.disallowed) for s in leaf.steps))
+        (leaf.pair, tuple((s.level, s.chosen_m, s.disallowed) for s in lineage.steps(leaf)))
         for leaf in lineage.leaves
     ]
 
@@ -325,22 +325,68 @@ def test_wide_lineage_matches_brute_force_oracle(l, k):
 
 
 def test_lineage_records_are_frozen_hashable_tuples():
-    step = LineageStep(4, 0, (1, 2))
-    leaf = LineageLeaf((11, 13), (step,))
-    assert (step.level, step.chosen_m, step.disallowed) == (4, 0, (1, 2))
-    assert (leaf.pair, leaf.steps) == ((11, 13), (step,))
+    # (11, 13) is its own first descendant at level 4, with m = 0; the
+    # disallowed indices at P_4 = 7 are 11 * 3 and 13 * 3 mod 7, as
+    # mhat(1, 4) = 3.
+    lineage = derive_pairs((11, 13), 3, 4)
+    leaf, other = lineage.leaves[:2]
+    step = LineageStep(4, 0, (5, 4))
+    assert (step.level, step.chosen_m, step.disallowed) == (4, 0, (5, 4))
+    assert (leaf.pair, lineage.steps(leaf)) == ((11, 13), (step,))
     for record, name in ((step, "chosen_m"), (leaf, "pair")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
-    twin = LineageLeaf((11, 13), (LineageStep(4, 0, (1, 2)),))
+    twin = LineageLeaf((11, 13))
     assert twin == leaf and hash(twin) == hash(leaf)
-    assert len({leaf, twin, LineageLeaf((11, 13), ())}) == 2
+    assert lineage.steps(twin) == (LineageStep(4, 0, (5, 4)),)
+    assert len({leaf, twin, other}) == 2
+
+
+@pytest.mark.parametrize("root, l, k", [
+    ((41, 43), 10, 11),  # a mask of P_11 = 31 flags: the one-hit scatter
+    ((59, 61), 16, 17),  # 57 leaves from 59 + P_16#, past 2^63
+    ((5, 7), 2, 7),  # P_3..P_7 twice each, 85 085 flags: repeated primes tiled
+])
+def test_digit_sieve_edges_match_brute_force_oracle(root, l, k):
+    lineage = derive_pairs(root, l, k)
+    assert len(lineage.leaves) == predicted_derived_count(l, k, root[1] - root[0])
+    assert lineage_as_tuples(lineage) == oracle_lineage(root, l, k)
+
+
+def test_derive_pairs_strikes_once_and_builds_no_steps(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a LineageStep was built")
+
+    strikes = []
+
+    def strike(*args):
+        strikes.append(args[0])
+        return arith._strike(*args)
+
+    expected = [pair for pair, _ in oracle_lineage((5, 7), 2, 5)]
+    monkeypatch.setattr(census, "LineageStep", no_step)
+    monkeypatch.setattr(census, "_strike", strike)
+    assert [leaf.pair for leaf in derive_pairs((5, 7), 2, 5).leaves] == expected
+    assert strikes == [5 * 7 * 11]  # one flag per t below P_5# / P_2#
+
+
+@pytest.mark.parametrize("pair", [
+    (35, 37),  # 35 is a multiple of 5 and 7
+    (13, 15),  # 13 is not 5 mod P_2# = 6
+    (11, 15),  # a gap of 4, not 2
+    (215, 217),  # 5 + P_4#: past the level-4 window
+])
+def test_lineage_steps_refuse_a_non_leaf(pair):
+    lineage = derive_pairs((5, 7), 2, 4)
+    assert pair not in {leaf.pair for leaf in lineage.leaves}
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(pair))} is not a leaf"):
+        lineage.steps(LineageLeaf(pair))
 
 
 def test_lineage_steps_avoid_disallowed():
     lineage = derive_pairs((5, 7), 2, 5)
     for leaf in lineage.leaves:
-        for step in leaf.steps:
+        for step in lineage.steps(leaf):
             assert step.chosen_m not in step.disallowed
 
 

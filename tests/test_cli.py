@@ -367,11 +367,12 @@ def test_lineage_root_search_meets_budget(capsys):
 
 def test_lineage_tree_past_cap_refused_before_any_node(capsys, monkeypatch):
     # 20 -> 24 holds 38 525 949 leaves, about 10 GB as a tree: the cap of
-    # 2^15 leaves refuses it from the closed-form count, before any node.
-    def no_row(*args):
-        raise AssertionError("a node was built before the refusal")
+    # 2^15 leaves refuses it from the closed-form count, before anything
+    # is struck.
+    def no_strike(*args):
+        raise AssertionError("the digit space was struck before the refusal")
 
-    monkeypatch.setattr(cli.census_mod, "_step_row", no_row)
+    monkeypatch.setattr(cli.census_mod, "_strike", no_strike)
     with deadline(2.0):
         code, out, err = run(capsys, "lineage", "-r", "20", "-k", "24", "-g", "2")
     assert code == 1 and out == ""
@@ -412,6 +413,7 @@ def test_lineage_text_builds_no_json_payload(capsys, monkeypatch):
 @pytest.mark.parametrize("r, k, g", [(2, 4, 2), (3, 6, 4), (2, 7, 2), (4, 8, 2)])
 def test_lineage_json_streams_whole_output(capsys, r, k, g):
     root = find_root_pair(r, g)
+    lineage = derive_pairs(root, r, k)
     payload = {
         "root": list(root),
         "root_level": r,
@@ -423,10 +425,10 @@ def test_lineage_json_streams_whole_output(capsys, r, k, g):
                 "pair": list(leaf.pair),
                 "steps": [
                     {"level": s.level, "m": s.chosen_m, "disallowed": list(s.disallowed)}
-                    for s in leaf.steps
+                    for s in lineage.steps(leaf)
                 ],
             }
-            for leaf in derive_pairs(root, r, k).leaves
+            for leaf in lineage.leaves
         ],
     }
     expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -436,12 +438,12 @@ def test_lineage_json_streams_whole_output(capsys, r, k, g):
 
 def test_lineage_json_holds_no_document(tmp_path, monkeypatch):
     # 4 -> 8 is 25 245 leaves, a 15.4 MB document; streamed, the peak is
-    # the tree, about 7 MB, not the tree plus its text.  Each leaf's text
+    # the tree, about 6 MB, not the tree plus its text.  Each leaf's text
     # is encoded before tracing: the indenting encoder is pure Python and
     # runs ten times slower traced.  What main holds of it is traced.
-    leaves = derive_pairs(find_root_pair(4, 2), 4, 8).leaves
-    texts = {leaf.pair: cli._leaf_json(leaf) for leaf in leaves}
-    monkeypatch.setattr(cli, "_leaf_json", lambda leaf: texts[leaf.pair])
+    lineage = derive_pairs(find_root_pair(4, 2), 4, 8)
+    texts = {leaf.pair: cli._leaf_json(lineage, leaf) for leaf in lineage.leaves}
+    monkeypatch.setattr(cli, "_leaf_json", lambda lineage, leaf: texts[leaf.pair])
     path = tmp_path / "lineage.json"
     tracemalloc.start()
     try:

@@ -176,6 +176,6 @@ def test_lineage_json_round_trip(r, k, g):
         (tuple(leaf["pair"]), [(s["level"], s["m"], tuple(s["disallowed"])) for s in leaf["steps"]])
         for leaf in payload["leaves"]
     ] == [
-        (leaf.pair, [(s.level, s.chosen_m, s.disallowed) for s in leaf.steps])
+        (leaf.pair, [(s.level, s.chosen_m, s.disallowed) for s in lineage.steps(leaf)])
         for leaf in lineage.leaves
     ]
