@@ -1,5 +1,5 @@
-"""Exact integer number theory: primes, primorials, modular inverses,
-deterministic primality, and exact prime counting.
+"""Exact integer number theory: primes, primorials, deterministic
+primality, and exact prime counting.
 
 Everything here is pure and exact.  Python's native integers are
 arbitrary precision, so primorials and counting products never overflow;
@@ -440,11 +440,3 @@ def prime_count_pi(x: int, budget: int = SIEVE_BUDGET) -> int:
     # small is final now: the primes in (c, r] are where it steps.
     primes = np.flatnonzero(small[c + 1 :] != small[c:-1]) + (c + 1)
     return int(large[0] - (large[primes - 1] - small[primes - 1]).sum())
-
-
-def mod_inverse(a: int, p: int) -> int:
-    """b with a*b == 1 (mod p) for prime p, 0 < b < p."""
-    a %= p
-    if a == 0:
-        raise ValueError(f"{a} has no inverse mod {p}")
-    return pow(a, -1, p)

@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (
-    SIEVE_BUDGET, _strike, first_pair_with_gap, is_prime, mod_inverse, nth_prime, primorial,
+    SIEVE_BUDGET, _strike, first_pair_with_gap, is_prime, nth_prime, primorial,
     segment_gaps,
 )
 from .wheel import (
@@ -375,7 +375,7 @@ def derive_pairs(root: tuple[int, int], l: int, k: int) -> PairLineage:
                          "use predicted_derived_count for the size")
     step = primorial(l)
     # One (P_i, first t) row per class; a set, as a = a + g mod P_i when P_i | g.
-    struck = np.array([(p, -q * mod_inverse(step, p) % p)
+    struck = np.array([(p, -q * pow(step, -1, p) % p)
                        for p in map(nth_prime, range(l + 1, k + 1)) for q in {a % p, b % p}],
                       dtype=np.int64)
     flags = _strike(primorial(k) // step, struck[:, 0], struck[:, 1])

@@ -204,9 +204,7 @@ def _cmd_table1(args) -> Output:
 
 
 def _cmd_bounds(args) -> Output:
-    report = primepairs.bound_report(
-        args.root_level, args.from_level, args.gap, budget=args.budget
-    )
+    report = primepairs.bound_report(args.root_level, args.l, args.gap, budget=args.budget)
     text = (
         f"r={report.r} l={report.l} g={report.g} k={report.k} "
         f"window=({report.window[0]}, {report.window[1]})\n"
@@ -218,10 +216,8 @@ def _cmd_bounds(args) -> Output:
 
 
 def _cmd_ratios(args) -> Output:
-    value = primepairs.growth_ratio(args.from_level)
-    return _render(
-        args, {"l": args.from_level, "ratio": round(value, 3)}, f"{value:.1f}\n"
-    )
+    value = primepairs.growth_ratio(args.l)
+    return _render(args, {"l": args.l, "ratio": round(value, 3)}, f"{value:.1f}\n")
 
 
 def _cmd_find_pair(args) -> Output:
@@ -297,13 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="prime-pair lower bound vs observed count")
     p.add_argument("-r", "--root-level", type=int, required=True)
-    p.add_argument("-l", "--from-level", "--l", type=int, required=True)
+    p.add_argument("-l", "--l", type=int, required=True)
     p.add_argument("-g", "--gap", type=int, required=True)
     _add_output(p)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("ratios", help="level-to-level bound growth factor")
-    p.add_argument("-l", "--from-level", "--l", type=int, required=True)
+    p.add_argument("-l", "--l", type=int, required=True)
     _add_output(p)
     p.set_defaults(func=_cmd_ratios)
 

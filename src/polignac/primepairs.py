@@ -213,8 +213,8 @@ def find_pair_above(
     g: int, m: int, search_limit: int, budget: int = SIEVE_BUDGET
 ) -> tuple[int, int] | None:
     """Least consecutive-prime pair with difference g whose lower member
-    exceeds m, or None if none turns up below search_limit, which must
-    exceed m.
+    exceeds m and whose upper member is at most search_limit, or None if
+    there is none; search_limit must exceed m.
 
     The first budget integers above m are searched by
     ``arith.first_pair_with_gap``, which refuses when they hold no pair

@@ -40,7 +40,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import SIEVE_BUDGET, mod_inverse, nth_prime, primorial, strike_segments
+from .arith import SIEVE_BUDGET, nth_prime, primorial, strike_segments
 
 
 def window_bounds(k: int) -> tuple[int, int]:
@@ -147,7 +147,7 @@ def mhat(p_tilde: int, k_next: int) -> DisallowedIndex:
     """
     p_next = nth_prime(k_next)
     step = primorial(k_next - 1) % p_next
-    value = (-p_tilde) * mod_inverse(step, p_next) % p_next
+    value = (-p_tilde) * pow(step, -1, p_next) % p_next
     alpha = (value * step + p_tilde % p_next) // p_next
     return DisallowedIndex(level=k_next, value=value, alpha=alpha)
 
@@ -155,14 +155,14 @@ def mhat(p_tilde: int, k_next: int) -> DisallowedIndex:
 def propagate(p_tilde: int, k: int, m: int) -> Propagated:
     """p_tilde + m * P_k#, landing in subset m of the level-(k+1) window.
 
-    The result is flagged disallowed when m is the disallowed index,
-    i.e. when P_{k+1} divides it; the caller decides what to do.
+    The result is flagged disallowed when P_{k+1} divides it, which
+    happens for m = m-hat alone; the caller decides what to do.
     """
     p_next = nth_prime(k + 1)
     if not 0 <= m <= p_next - 1:
         raise ValueError(f"m={m} outside [0, {p_next - 1}] at level {k + 1}")
     value = p_tilde + m * primorial(k)
-    return Propagated(value=value, disallowed=(m == mhat(p_tilde, k + 1).value))
+    return Propagated(value=value, disallowed=value % p_next == 0)
 
 
 def subset_of(n: int, k: int) -> int:

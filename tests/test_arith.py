@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from polignac import arith
 from polignac.arith import (
     is_prime,
-    mod_inverse,
     nth_prime,
     prime_count_pi,
     primorial,
@@ -238,20 +237,3 @@ def test_pi_budget():
         prime_count_pi(416180**2)
     with pytest.raises(ValueError, match="int64"):
         prime_count_pi(1 << 63, budget=1 << 100)
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(1, 7) == 1
-    assert mod_inverse(2, 7) == 4
-    assert mod_inverse(210 % 11, 11) == 1
-
-
-def test_mod_inverse_exhaustive(small_primes):
-    for p in [q for q in small_primes if q <= 101]:
-        for a in range(1, p):
-            assert a * mod_inverse(a, p) % p == 1
-
-
-def test_mod_inverse_rejects_zero():
-    with pytest.raises(ValueError):
-        mod_inverse(14, 7)

@@ -67,7 +67,7 @@ def test_import_runs_no_package_function():
     # runs, so no table, array or constant is computed at import.  A
     # fresh interpreter traces every call into the package's files;
     # module and class bodies are not functions (no CO_NEWLOCALS), and
-    # the comprehension that lists __all__ is skipped by its name.
+    # comprehensions and lambdas are skipped by their '<...>' names.
     src = Path(polignac.__file__).parent
     probe = (
         "import inspect, sys\n"
@@ -120,8 +120,9 @@ def _references(path):
 
 def test_every_public_name_is_reached():
     # A public name that only its own tests call is code to delete, or a
-    # claim to check from `verify`.  The package's __init__ re-exports
-    # names, which reaches nothing.
+    # claim to check from `verify`.  The package's __init__ binds the
+    # modules and nth_prime and primorial for perfbench, which reaches
+    # nothing.
     root = Path(polignac.__file__).parent.parent.parent
     readers = [m for m in MODULES if m.name != "__init__.py"]
     readers += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
@@ -129,6 +130,50 @@ def test_every_public_name_is_reached():
     defined = {name for m in MODULES if m.name != "__init__.py" for name in _public_definitions(m)}
     unreached = sorted(defined - reached)
     assert not unreached, f"public names that nothing reaches: {unreached}"
+
+
+def _attribute_path(node):
+    """("pg", "census", "gap_census") for pg.census.gap_census, else None."""
+    path = []
+    while isinstance(node, ast.Attribute):
+        path.append(node.attr)
+        node = node.value
+    return (node.id, *reversed(path)) if isinstance(node, ast.Name) else None
+
+
+def test_perfbench_reads_resolve_on_the_package():
+    # perfbench calls the package as pg.<module>.<fn> and
+    # polignac.<name>, and traces TARGETS by
+    # getattr(getattr(polignac, module), fn), after a bare
+    # `import polignac`.  The files are parsed, not imported, and the
+    # names resolved in a fresh interpreter, where no other import has
+    # bound a submodule, so a binding deleted from __init__ fails here.
+    bench = Path(polignac.__file__).parent.parent.parent / "perfbench"
+    tracing = ast.parse((bench / "tracing.py").read_text())
+    (targets,) = [
+        node.value for node in tracing.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    paths = {(t.elts[0].value, t.elts[1].value) for t in targets.elts}
+    assert len(paths) >= 10
+    reads = {
+        path[1:] for node in ast.walk(ast.parse((bench / "worker.py").read_text()))
+        if (path := _attribute_path(node)) and path[0] in {"pg", "polignac"}
+    }
+    assert {("nth_prime",), ("primorial",), ("census", "gap_census")} <= reads
+    probe = (
+        "import functools, polignac\n"
+        f"for path in {sorted(paths | reads)!r}:\n"
+        "    try:\n"
+        "        functools.reduce(getattr, path, polignac)\n"
+        "    except AttributeError:\n"
+        "        print('.'.join(path))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(polignac.__file__).parent.parent)},
+    ).stdout
+    assert out == "", f"perfbench reads names the package does not bind: {out.split()}"
 
 
 def test_coprimality_to_the_wheel_lives_in_wheel():

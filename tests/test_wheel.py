@@ -123,9 +123,11 @@ def test_propagate_rejects_out_of_range():
 def test_propagate_exhaustive(k):
     p_next = nth_prime(k + 1)
     for p_tilde in enumerate_prospective(k):
+        hat = mhat(p_tilde, k + 1).value
         for m in range(p_next):
             result = propagate(p_tilde, k, m)
             assert subset_of(result.value, k + 1) == m
+            assert result.disallowed == (m == hat)
             if result.disallowed:
                 assert result.value % p_next == 0
             else:
