@@ -3,8 +3,8 @@ primality, and exact prime counting.
 
 Everything here is pure and exact.  Python's native integers are
 arbitrary precision, so primorials and counting products never overflow;
-a configurable bound on ``primorial`` still guards against runaway
-growth from bad arguments.
+``primorial`` refuses every index above ``MAX_PRIMORIAL_INDEX``, and so
+every wheel level above it.
 
 All sieving goes through one kernel, ``_strike``, which clears every
 p-th flag of a mask from each prime's first index on, and one driver,
@@ -27,12 +27,15 @@ to sqrt(hi), and in ``sieve_primes`` the odd primes up to sqrt(limit).
 Every pass's base primes come from ``sieve_primes``, which up to
 SEGMENT_SIZE is one odd-only mask struck by one kernel call, and above
 it writes the (start, offsets) segments of ``prime_segments`` into one
-array sized by Dusart's bound on pi(limit).  ``nth_prime`` and
-``primorial`` read a list of primes that ``sieve_primes`` fills, by one
-sieve sized by Rosser's bound on the n-th prime.  ``prime_count_pi``
-sieves nothing: it runs Lucy's recursion over the values x // i, one
-update per prime up to icbrt(x), and reads Meissel's P2 term, the
-products of two primes above icbrt(x), off the recursion's own arrays.
+array sized by Dusart's bound on pi(limit).  ``nth_prime`` alone grows
+the table of the first primes, by one sieve sized by Rosser's bound on
+the n-th prime: a miss sieves for twice the table, and for the asked
+index alone when that doubled sieve is past the budget.  ``primorial``
+fills its 25 products once, from the first 25 primes of that table, and
+sieves nothing itself.  ``prime_count_pi`` sieves nothing: it runs
+Lucy's recursion over the values x // i, one update per prime up to
+icbrt(x), and reads Meissel's P2 term, the products of two primes above
+icbrt(x), off the recursion's own arrays.
 
 ``segment_gaps`` turns a stream of segments into the gaps between
 consecutive values, carried across segment edges; the gap censuses,
@@ -62,9 +65,9 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-# Largest index ``primorial`` accepts, and so the highest wheel level.
-# _PRIMORIALS keeps every prefix product P_1# .. P_k#, so its memory grows
-# with the square of the index; P_25# ~ 2.3e39.
+# Largest index ``primorial`` accepts, and so the highest wheel level:
+# every level above it is refused.  P_25# ~ 2.3e36, 121 bits, and the 25
+# products P_1# .. P_25# take about 1.1 KB.
 MAX_PRIMORIAL_INDEX = 25
 
 # Default for the most integers one sieve pass may cover.  On a 2-core
@@ -311,41 +314,47 @@ def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> np.ndarray:
     return primes
 
 
-# The first primes in order, and the primorials of the first ones; both
-# grow on demand, the primes by one sieve per growth.
+# The first primes in order, grown by ``nth_prime`` alone, and the
+# primorials P_1# .. P_25#, filled once by ``primorial``.
 _PRIMES: list[int] = []
 _PRIMORIALS: list[int] = []
 
 
-def _sieve_first(count: int) -> None:
-    """Fill the table with at least count primes by one sieve, to
-    Rosser's bound p_n < n (ln n + ln ln n) for n >= 6 (1941).  n is at
-    least twice the table's length, so repeated growth stays linear; a
-    count whose sieve is past the budget is refused before it runs."""
-    n = max(count, 2 * len(_PRIMES), 6)
-    _PRIMES[:] = sieve_primes(int(n * (math.log(n) + math.log(math.log(n)))) + 1).tolist()
-
-
 def nth_prime(i: int) -> int:
-    """The i-th prime, 1-indexed (nth_prime(1) == 2)."""
+    """The i-th prime, 1-indexed (nth_prime(1) == 2).
+
+    A miss fills the table by one sieve to Rosser's bound
+    p_n < n (ln n + ln ln n) for n >= 6 (1941), with n at least twice the
+    table's length, so repeated growth stays linear.  When the sieve for
+    that doubled table is past the budget, the sieve for n = i alone runs,
+    as on an empty table, so whether i is answered does not depend on
+    what ran before; an i whose own sieve is past the budget is refused.
+    Both refusals come before anything is allocated."""
     if i < 1:
         raise ValueError(f"prime index must be >= 1, got {i}")
     if len(_PRIMES) < i:
-        _sieve_first(i)
+        n = max(i, 2 * len(_PRIMES), 6)
+        try:
+            _PRIMES[:] = sieve_primes(int(n * (math.log(n) + math.log(math.log(n)))) + 1).tolist()
+        except ValueError:
+            n = max(i, 6)
+            _PRIMES[:] = sieve_primes(int(n * (math.log(n) + math.log(math.log(n)))) + 1).tolist()
     return _PRIMES[i - 1]
 
 
 def primorial(k: int) -> int:
-    """Product of the first k primes."""
+    """Product of the first k primes, for 1 <= k <= MAX_PRIMORIAL_INDEX.
+    The first call fills all 25 products at once from the first 25
+    primes of ``nth_prime``'s table; every later call is one lookup."""
     if k < 1:
         raise ValueError(f"primorial index must be >= 1, got {k}")
     if k > MAX_PRIMORIAL_INDEX:
         raise ValueError(
             f"primorial index {k} exceeds configured bound {MAX_PRIMORIAL_INDEX}"
         )
-    if len(_PRIMORIALS) < k:
-        _sieve_first(k)
-        _PRIMORIALS[:] = itertools.accumulate(_PRIMES[:k], operator.mul)
+    if not _PRIMORIALS:
+        nth_prime(MAX_PRIMORIAL_INDEX)
+        _PRIMORIALS[:] = itertools.accumulate(_PRIMES[:MAX_PRIMORIAL_INDEX], operator.mul)
     return _PRIMORIALS[k - 1]
 
 

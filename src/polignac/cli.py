@@ -216,8 +216,8 @@ def _cmd_bounds(args) -> Output:
 
 
 def _cmd_ratios(args) -> Output:
-    value = primepairs.growth_ratio(args.l)
-    return _render(args, {"l": args.l, "ratio": round(value, 3)}, f"{value:.1f}\n")
+    ratio = round(primepairs.growth_ratio(args.l), 3)
+    return _render(args, {"l": args.l, "ratio": ratio}, f"{ratio}\n")
 
 
 def _cmd_find_pair(args) -> Output:

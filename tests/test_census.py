@@ -69,6 +69,21 @@ def test_gap_census_against_oracle():
     assert gap_census(5).entries == dict(expected)
 
 
+# Segments of 8 integers hold 4 odd values, and a segment holding one
+# prospective prime gives an empty gap chunk, which the one-step census
+# skips: the level-3, 4 and 5 streams give 1, 7 and 99 of them.
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_full_census_skips_empty_chunks(monkeypatch, k):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 8)
+    monkeypatch.setattr(arith, "FIRST_SEGMENT", 8)
+    empty = sum(
+        not len(gaps) for _, gaps in arith.segment_gaps(prospective_segments(k - 1))
+    )
+    assert empty == {4: 1, 5: 7, 6: 99}[k]
+    members = oracle_prospective(k)
+    assert gap_census(k).entries == dict(Counter(b - a for a, b in zip(members, members[1:])))
+
+
 # A full window at level k >= 3 is one propagation step from the
 # level-(k - 1) window.  Each census below is checked against the sieve
 # of the explicit level-k range, or against closed forms.

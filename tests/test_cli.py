@@ -141,10 +141,16 @@ def test_bounds(capsys):
     assert payload["observed"] == str(int(payload["observed"]))
 
 
-def test_ratios_one_decimal(capsys):
-    code, out, _ = run(capsys, "ratios", "--l", "9")
-    assert code == 0
-    assert out.strip() == "1.4"
+def test_ratios_text_is_json_ratio(capsys):
+    # Text prints the ratio JSON gives, rounded to 3 places, so a small
+    # ratio is not printed as 0.0: 0.049 at l = 8, 1.387 at l = 9.
+    for l in range(8, 21):
+        code, out, _ = run(capsys, "ratios", "--l", str(l))
+        assert code == 0
+        _, js, _ = run(capsys, "ratios", "--l", str(l), "--format", "json")
+        assert out == f"{json.loads(js)['ratio']}\n", l
+    assert run(capsys, "ratios", "--l", "8")[1] == "0.049\n"
+    assert run(capsys, "ratios", "--l", "9")[1] == "1.387\n"
 
 
 def test_ratios_past_budget_refused_at_once(capsys):
@@ -656,6 +662,27 @@ def test_verify_fails_each_check(capsys, monkeypatch, check, name, off_by_one, d
     monkeypatch.setattr(checks, name, off_by_one(getattr(checks, name)))
     code, out, err = run(capsys, "verify", "--max-level", "6")
     label = check.__name__.removeprefix("check_").replace("_", "-")
+    assert code == 2 and err == ""
+    assert f"FAIL  {label}  ({detail})" in out.splitlines()
+
+
+# The failure details that no off-by-one stand-in above reaches: a bound
+# above the observed count, and each monotone stretch of the ratios.
+@pytest.mark.parametrize(
+    "name, stand_in, label, detail",
+    [
+        ("bound_report", lambda f: lambda *args: replace(f(*args), observed=0),
+         "bounds-vs-reality", "r=2 l=3 g=2: 0 < 3"),
+        ("growth_ratio", lambda f: lambda l: -l,
+         "ratio-monotonicity", "growth ratio not increasing"),
+        ("distribution_ratio", lambda f: lambda k: 1 / k,
+         "ratio-monotonicity", "distribution ratio not increasing on 4..8"),
+    ],
+    ids=["bound_report", "growth_ratio", "distribution_ratio"],
+)
+def test_verify_prints_failure_detail(capsys, monkeypatch, name, stand_in, label, detail):
+    monkeypatch.setattr(checks, name, stand_in(getattr(checks, name)))
+    code, out, err = run(capsys, "verify", "--max-level", "6")
     assert code == 2 and err == ""
     assert f"FAIL  {label}  ({detail})" in out.splitlines()
 

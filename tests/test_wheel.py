@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polignac import wheel
+from polignac import arith, wheel
 from polignac.arith import nth_prime, primorial
 from polignac.census import classify_propagation, subset_gap_spectrum
 from polignac.primepairs import consecutive_primes_as_prospective, verify_prospective_below_square
@@ -19,7 +19,7 @@ from polignac.wheel import (
     subset_of,
     window_bounds,
 )
-from conftest import mhat_by_alpha_search, oracle_prospective
+from conftest import mhat_by_alpha_search, oracle_primes, oracle_prospective
 
 
 def test_window_geometry():
@@ -236,3 +236,14 @@ def test_walks_sieve_nothing(monkeypatch):
 
     monkeypatch.setattr(wheel, "strike_segments", refuse)
     assert calls() == expected
+
+
+def test_window_bounds_every_level_in_order(monkeypatch):
+    # The levels in order, from empty tables: each answers at once, and
+    # the prime table stays the 29 primes up to Rosser's bound for 25.
+    monkeypatch.setattr(arith, "_PRIMES", [])
+    monkeypatch.setattr(arith, "_PRIMORIALS", [])
+    primes = oracle_primes(97)
+    for k in range(2, arith.MAX_PRIMORIAL_INDEX + 1):
+        assert wheel.window_bounds(k) == (5, 4 + math.prod(primes[:k]))
+        assert len(arith._PRIMES) < 100
