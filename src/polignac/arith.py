@@ -28,11 +28,10 @@ Every pass's base primes come from ``sieve_primes``, which up to
 SEGMENT_SIZE is one odd-only mask struck by one kernel call, and above
 it writes the (start, offsets) segments of ``prime_segments`` into one
 array sized by Dusart's bound on pi(limit).  ``nth_prime`` alone grows
-the table of the first primes, by one sieve sized by Rosser's bound on
-the n-th prime: a miss sieves for twice the table, and for the asked
-index alone when that doubled sieve is past the budget.  ``primorial``
-fills its 25 products once, from the first 25 primes of that table, and
-sieves nothing itself.  ``prime_count_pi`` sieves nothing: it runs
+the table of the first primes: a miss sieves for the asked index alone,
+to Rosser's bound on the n-th prime.  ``primorial`` fills its 25
+products once, from the first 25 primes of that table, and sieves
+nothing itself.  ``prime_count_pi`` sieves nothing: it runs
 Lucy's recursion over the values x // i, one update per prime up to
 icbrt(x), and reads Meissel's P2 term, the products of two primes above
 icbrt(x), off the recursion's own arrays.
@@ -324,21 +323,14 @@ def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed (nth_prime(1) == 2).
 
     A miss fills the table by one sieve to Rosser's bound
-    p_n < n (ln n + ln ln n) for n >= 6 (1941), with n at least twice the
-    table's length, so repeated growth stays linear.  When the sieve for
-    that doubled table is past the budget, the sieve for n = i alone runs,
-    as on an empty table, so whether i is answered does not depend on
-    what ran before; an i whose own sieve is past the budget is refused.
-    Both refusals come before anything is allocated."""
+    p_n < n (ln n + ln ln n) for n >= 6 (1941), with n = max(i, 6), so
+    whether i is answered does not depend on what ran before.  An i whose
+    sieve is past the budget is refused before anything is allocated."""
     if i < 1:
         raise ValueError(f"prime index must be >= 1, got {i}")
     if len(_PRIMES) < i:
-        n = max(i, 2 * len(_PRIMES), 6)
-        try:
-            _PRIMES[:] = sieve_primes(int(n * (math.log(n) + math.log(math.log(n)))) + 1).tolist()
-        except ValueError:
-            n = max(i, 6)
-            _PRIMES[:] = sieve_primes(int(n * (math.log(n) + math.log(math.log(n)))) + 1).tolist()
+        n = max(i, 6)
+        _PRIMES[:] = sieve_primes(int(n * (math.log(n) + math.log(math.log(n)))) + 1).tolist()
     return _PRIMES[i - 1]
 
 

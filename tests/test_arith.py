@@ -36,10 +36,10 @@ def test_nth_prime_rejects_bad_index():
 
 
 def test_nth_prime_answers_what_an_empty_table_answers(monkeypatch):
-    # A miss sieves for twice the table; when that sieve is past the
-    # budget, it sieves for the asked index alone.  Under a 20 000
-    # integer budget the table holds 1 102 primes after nth_prime(1000),
-    # and the doubled sieve for index 1103, to 21 465, is refused.
+    # A miss sieves for the asked index alone, whatever the table holds.
+    # Under a 20 000 integer budget the table holds 1 102 primes after
+    # nth_prime(1000); a sieve for twice the table, to 21 465, would be
+    # refused, but index 1103 sieves to 9 875.
     sieve = arith.sieve_primes
     monkeypatch.setattr(arith, "_PRIMES", [])
     monkeypatch.setattr(
@@ -47,26 +47,8 @@ def test_nth_prime_answers_what_an_empty_table_answers(monkeypatch):
     )
     assert nth_prime(1000) == 7919 and len(arith._PRIMES) == 1102
     assert nth_prime(1103) == 8849
-    arith._PRIMES.clear()
-    assert nth_prime(1103) == 8849
     with pytest.raises(ValueError, match="exceeds the sieve budget of 20000"):
         nth_prime(3000)  # its own sieve, to 28 230, is past the budget
-
-
-def test_primorial_fills_once_from_nth_prime(monkeypatch):
-    # The first call fills all 25 products from nth_prime(25), which on
-    # an empty table sieves to Rosser's bound 110: 29 primes.  No later
-    # call sieves.
-    def no_sieve(*args):
-        raise AssertionError("primorial sieved")
-
-    monkeypatch.setattr(arith, "_PRIMES", [])
-    monkeypatch.setattr(arith, "_PRIMORIALS", [])
-    assert primorial(1) == 2 and len(arith._PRIMES) == 29
-    monkeypatch.setattr(arith, "sieve_primes", no_sieve)
-    primes = oracle_primes(97)
-    for k in range(1, arith.MAX_PRIMORIAL_INDEX + 1):
-        assert primorial(k) == math.prod(primes[:k])
 
 
 def test_primorial_examples():

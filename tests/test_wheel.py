@@ -239,11 +239,17 @@ def test_walks_sieve_nothing(monkeypatch):
 
 
 def test_window_bounds_every_level_in_order(monkeypatch):
-    # The levels in order, from empty tables: each answers at once, and
-    # the prime table stays the 29 primes up to Rosser's bound for 25.
+    # The levels in order, from empty tables: each answers at once, the
+    # prime table stays the 29 primes up to Rosser's bound for 25, and
+    # primorial sieves nothing after its one fill.
+    def no_sieve(*args):
+        raise AssertionError("sieved after the first fill")
+
     monkeypatch.setattr(arith, "_PRIMES", [])
     monkeypatch.setattr(arith, "_PRIMORIALS", [])
     primes = oracle_primes(97)
     for k in range(2, arith.MAX_PRIMORIAL_INDEX + 1):
         assert wheel.window_bounds(k) == (5, 4 + math.prod(primes[:k]))
-        assert len(arith._PRIMES) < 100
+        assert len(arith._PRIMES) == 29
+        monkeypatch.setattr(arith, "sieve_primes", no_sieve)
+    assert [primorial(k) for k in range(1, 26)] == [math.prod(primes[:k]) for k in range(1, 26)]
