@@ -7,29 +7,58 @@ arbitrary precision, so primorials and counting products never overflow;
 every wheel level above it.
 
 All sieving goes through one kernel, ``_strike``, which clears every
-p-th flag of a mask from each prime's first index on, and one driver,
-``strike_segments``, which cuts a range into segments, gives the kernel
-one flag per odd integer of each, and yields the survivors as int64
-offsets from the segment's start, a Python int, so segments past 2^63
-stay exact.  A pass's first segment spans ``FIRST_SEGMENT`` integers
-and each later one doubles, up to ``SEGMENT_SIZE``, so a search that
-stops a few values in strikes one small segment; a full segment's mask
-fits in half of a 2 MiB L2.  A prime at least as large as a segment's
-flag count hits it at most once, so the kernel strikes all such primes
-with one scatter and loops over the smaller ones only.  On a mask of
-more than _TILE = 3 * 5 * 7 * 11 * 13 = 15015 flags, the leading primes
-that divide _TILE and start below p (every prime of a driver pass, whose
-first indices are reduced mod p) are struck once on a block of _TILE
-flags, which is tiled over the mask.  Its callers
-strike odd primes only, as int64 arrays: the wheel's P_2..P_k (every
-wheel holds 2), in ``prime_segments`` a copy of the odd base primes up
-to sqrt(hi), and in ``sieve_primes`` the odd primes up to sqrt(limit).
+p-th flag of a mask from each prime's first index on.  A prime at least
+as large as a mask's flag count hits it at most once, so the kernel
+strikes all such primes with one scatter and loops over the smaller
+ones only.  On a mask of more than _TILE = 3 * 5 * 7 * 11 * 13 = 15015
+flags, the leading primes that divide _TILE and start below p (every
+prime of a ``strike_segments`` or ``map_segments`` pass, whose first
+indices are reduced mod p) are struck once on a block of _TILE flags,
+which is tiled over the mask.
+Its callers strike odd primes only, as int64 arrays: the wheel's
+P_2..P_k (every wheel holds 2), the odd base primes up to sqrt(hi) of a
+prime range, and in ``sieve_primes`` the odd primes up to sqrt(limit).
+
+Two functions cut a range into masks for the kernel, one flag per odd
+integer, and both compute each prime's first index by one function,
+``_first_indices``.  ``strike_segments`` is serial and streams: it cuts
+a range into segments and yields the survivors of each in order as
+int64 offsets from the segment's start, a Python int, so segments past
+2^63 stay exact.  A pass's first segment spans ``FIRST_SEGMENT``
+integers and each later one doubles, up to ``SEGMENT_SIZE``, so a
+search that stops a few values in strikes one small segment; a full
+segment's mask fits in half of a 2 MiB L2.  Searches
+(``first_pair_with_gap``), ``gen`` and ``sieve_primes`` use it: a
+search must strike only what it reads, and ``gen`` writes values in
+order.
+
+``map_segments`` serves the passes that read their whole range: the
+gap censuses, the pair count and the prospective count.  It cuts the
+range into fixed chunks of SEGMENT_SIZE // W integers, W the CPUs in
+the process's affinity mask (read at the first such pass, never at
+import), strikes each chunk and reduces it to a small result on one of
+W threads (the caller's, and a pool of W - 1 started by the first
+pooled pass and kept), and hands the results back in order.  numpy releases the
+interpreter lock in ``np.flatnonzero``, the gap subtraction and
+``np.bincount``, where a full segment's time goes, so the reduction
+runs in the worker, and the W chunks in flight hold one segment's
+worth.  A pass of one chunk, or W = 1, or of more than _POOLED_PRIMES
+primes, runs on the caller's thread, with no pool and no import: the
+kernel holds the lock between the slices of its loop, so a pass over
+hundreds of base primes gains nothing from threads.  ``tally_gaps`` and
+``prime_gap_tally`` reduce each chunk to a ``GapTally`` (its first and
+last value, first and last gap, and the histograms of its gaps and, for
+the one-step census, of the sums of adjacent gaps) and merge the
+tallies in order, adding the gaps across the seams.  A worker calls no
+public function.
+
 Every pass's base primes come from ``sieve_primes``, which up to
 SEGMENT_SIZE is one odd-only mask struck by one kernel call, and above
 it writes the (start, offsets) segments of ``prime_segments`` into one
 array sized by Dusart's bound on pi(limit).  ``nth_prime`` alone grows
 the table of the first primes: a miss sieves for the asked index alone,
-to Rosser's bound on the n-th prime.  ``primorial`` fills its 25
+to Rosser's bound on the n-th prime or to the sieve budget, whichever
+is less.  ``primorial`` fills its 25
 products once, from the first 25 primes of that table, and sieves
 nothing itself.  ``prime_count_pi`` sieves nothing: it runs
 Lucy's recursion over the values x // i, one update per prime up to
@@ -37,9 +66,8 @@ icbrt(x), and reads Meissel's P2 term, the products of two primes above
 icbrt(x), off the recursion's own arrays.
 
 ``segment_gaps`` turns a stream of segments into the gaps between
-consecutive values, carried across segment edges; the gap censuses,
-pair counts and pair searches in ``census`` and ``primepairs`` all read
-it, the searches through ``first_pair_with_gap``.
+consecutive values, carried across segment edges; the pair searches in
+``census`` and ``primepairs`` read it through ``first_pair_with_gap``.
 
 The one work limit is the sieve budget.  A sieve pass may span at most
 budget integers, checked once per pass by ``_require_span`` before the
@@ -57,10 +85,13 @@ up to x ~ 1.7e11.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import operator
-from typing import Callable, Iterable, Iterator
+import os
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -97,6 +128,17 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # before tiling it: a multiple of the period of every subset of them.
 _TILE = 3 * 5 * 7 * 11 * 13
 
+# Most primes a pooled pass strikes.  The kernel strikes each prime
+# below a mask's flag count by one slice, and between slices it holds
+# the interpreter lock, so threads that strike hundreds of primes wait
+# on each other: at 443 base primes (a prime range up to ~10^7) two
+# threads striking chunks of 2^19 flags took as long as one thread
+# striking both.  Every prime range of more than one chunk strikes at
+# least the 172 primes below sqrt(2^20); a wheel strikes at most 24.
+_POOLED_PRIMES = 64
+
+_T = TypeVar("_T")
+
 
 def _strike(size: int, primes: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     """Mask of size flags: False at first, first + p, first + 2p, ...
@@ -106,8 +148,10 @@ def _strike(size: int, primes: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     congruent to it mod p, so its pattern repeats every p flags, and
     every p dividing _TILE repeats every _TILE flags.  On a mask of more
     than _TILE flags, the leading primes of that kind are struck on one
-    block of _TILE flags, which ``np.resize`` tiles to size flags: at
-    most five, the odd primes up to 13, so only primes[:5] are tested.
+    block of _TILE flags, which one broadcast assignment copies over
+    the mask: at most five, the odd primes up to 13, so only primes[:5]
+    are tested.  (``np.resize`` holds the interpreter lock while it
+    tiles, so a pool's threads would wait on it.)
     A prime struck from p * p // 2, as ``sieve_primes`` strikes, starts
     at or past p and keeps its plain strike, so it stays prime.  The
     other primes are struck as they come: a prime p >= size hits the
@@ -122,7 +166,13 @@ def _strike(size: int, primes: np.ndarray, firsts: np.ndarray) -> np.ndarray:
                 break
             flags[first::p] = False
             tiled += 1
-        flags = np.resize(flags, size) if tiled else np.ones(size, dtype=bool)
+        if tiled:
+            block, flags = flags, np.empty(size, dtype=bool)
+            whole = size - size % _TILE
+            flags[:whole].reshape(-1, _TILE)[...] = block
+            flags[whole:] = block[: size - whole]
+        else:
+            flags = np.ones(size, dtype=bool)
         primes, firsts = primes[tiled:], firsts[tiled:]
     small = int(np.searchsorted(primes, size))
     for p, first in zip(primes[:small].tolist(), firsts[:small].tolist()):
@@ -137,6 +187,19 @@ def _require_span(lo: int, hi: int, budget: int) -> None:
     integers: the one test behind every sieve refusal."""
     if hi - lo + 1 > budget:
         raise ValueError(f"sieving {lo}:{hi} exceeds the sieve budget of {budget} integers")
+
+
+def _first_indices(first: int, primes: np.ndarray) -> np.ndarray:
+    """Index of each odd prime's first multiple in a mask whose flag i
+    stands for the odd value first + 2i: the i solving first + 2i = 0
+    (mod p), i = -first / 2 = -first * (p + 1) / 2 (mod p).  first may
+    pass 2^63, so first mod p is taken 31 bits at a time, high bits
+    first; with p < 2^32 (base primes of an int64 range, or a wheel's)
+    no product passes 2^63."""
+    firsts = np.zeros_like(primes)
+    for shift in range(first.bit_length() // 31 * 31, -1, -31):
+        firsts = (firsts << 31 | (first >> shift) & 0x7FFFFFFF) % primes
+    return (primes - firsts) * ((primes + 1) // 2) % primes
 
 
 def strike_segments(
@@ -161,16 +224,9 @@ def strike_segments(
     _require_span(lo, hi, budget)
     first = lo | 1
     count = (hi - first) // 2 + 1  # odd values in [lo, hi]
-    # p is first struck at the index i solving first + 2i = 0 (mod p):
-    # i = -first / 2 = -first * (p + 1) / 2 (mod p).  first may pass
-    # 2^63, so first mod p is taken 31 bits at a time, high bits first;
-    # with p < 2^32 (base primes of an int64 range, or a wheel's) no
-    # product passes 2^63.  Each segment starts size flags on, so its
-    # indices are the last ones less size.
-    firsts = np.zeros_like(primes)
-    for shift in range(first.bit_length() // 31 * 31, -1, -31):
-        firsts = (firsts << 31 | (first >> shift) & 0x7FFFFFFF) % primes
-    firsts = (primes - firsts) * ((primes + 1) // 2) % primes
+    # The first indices are computed once; each segment starts size
+    # flags on, so its indices are the last ones less size.
+    firsts = _first_indices(first, primes)
     done, size = 0, min(FIRST_SEGMENT, SEGMENT_SIZE) // 2
     while done < count:
         size = min(size, count - done)
@@ -184,38 +240,241 @@ def strike_segments(
         size = min(2 * size, SEGMENT_SIZE // 2)
 
 
+@functools.cache
+def _workers() -> int:
+    """W, the CPUs in this process's affinity mask (every CPU where the
+    platform has no mask), read once, at the first pooled pass."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_segments(
+    lo: int,
+    hi: int,
+    primes: np.ndarray,
+    reduce: Callable[[int, np.ndarray], _T],
+    budget: int = SIEVE_BUDGET,
+) -> Iterator[_T]:
+    """reduce(start, offsets) for each chunk of the odd values in
+    [lo, hi], in order: the chunk's values divisible by none of the odd
+    primes are start + 2 * offsets, offsets the int64 flag indices that
+    ``np.flatnonzero`` reads off the chunk's mask, which is freed before
+    reduce runs (reduce may overwrite offsets).
+
+    The range is cut into fixed chunks of SEGMENT_SIZE // W integers, W
+    from ``_workers``, and each chunk is struck and reduced on one of W
+    threads, so the chunks in flight hold one segment's worth of flags
+    and of whatever reduce makes of them; reduce must free its arrays
+    and return a small result, and must be safe to run on several
+    threads at once.  The results come back in order, in rounds of W
+    chunks.  A pass of one chunk, or W = 1, or of more than
+    _POOLED_PRIMES primes runs on the caller's thread, with no pool, in
+    chunks of SEGMENT_SIZE integers.  Nothing is ramped: a pass that
+    reads its whole range has nothing to save by starting small, so
+    searches stay on ``strike_segments``.  A range of more than budget
+    integers is refused before anything is struck.
+    """
+    _require_span(lo, hi, budget)
+    first = lo | 1
+    count = (hi - first) // 2 + 1  # odd values in [lo, hi]
+    workers = _workers() if len(primes) <= _POOLED_PRIMES else 1
+    size = max(SEGMENT_SIZE // workers // 2, 1)  # flags per chunk
+
+    def task(done: int) -> _T:
+        start = first + 2 * done
+        offsets = np.flatnonzero(_strike(min(size, count - done), primes, _first_indices(start, primes)))
+        return reduce(start, offsets)  # the mask is freed
+
+    chunks = range(0, max(count, 0), size)
+    if workers == 1 or len(chunks) <= 1:
+        return map(task, chunks)
+    return _pooled(task, chunks, workers)
+
+
+@functools.cache
+def _helpers(count: int):
+    """A pool of count threads, imported and started by the first pooled
+    pass and kept for the process, so a process that makes no pooled
+    pass starts no thread.  Threads started per pass cost about 0.2 ms
+    a pass, and glibc gave a thread started before the last one had
+    exited an arena of its own: window-census peak RSS went 35.7 or
+    38.1 MB from run to run, against 34.7 MB serial."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(count)
+
+
+# A forked child has none of its parent's threads: it starts its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helpers.cache_clear)
+
+
+def _pooled(task: Callable[[int], _T], items: range, workers: int) -> Iterator[_T]:
+    """task(item) for each item, in order, in rounds of workers items:
+    the caller's thread runs the first item of a round, and the
+    workers - 1 threads of ``_helpers`` the others.  A task's exception
+    is raised here when its result is read."""
+    pool = _helpers(workers - 1)
+    for i in range(0, len(items), workers):
+        helped = [pool.submit(task, item) for item in items[i + 1 : i + workers]]
+        yield task(items[i])
+        for future in helped:
+            yield future.result()
+
+
+class GapTally(NamedTuple):
+    """The gaps between consecutive values of a range: its first and
+    last value, its first and last gap (None with fewer than two
+    values), and two histograms indexed by gap, of the gaps and of the
+    sums of adjacent gaps (empty unless asked for)."""
+
+    first: int | None
+    last: int | None
+    head: int | None
+    tail: int | None
+    singles: np.ndarray
+    sums: np.ndarray
+
+
+_NO_COUNTS = np.zeros(0, dtype=np.int64)
+
+
+def _add_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum of two histograms of any lengths, as a new array."""
+    if len(a) < len(b):
+        a, b = b, a
+    total = a.copy()
+    total[: len(b)] += b
+    return total
+
+
+def _tally_offsets(start: int, offsets: np.ndarray, step: int, sums: bool) -> GapTally | None:
+    """The GapTally of the values start + step * offsets (None when
+    there are none), with the gaps and their sums taken in place in
+    offsets.  Their histograms are counted in units of step and spread
+    out by step, so the offsets are never scaled."""
+    if not len(offsets):
+        return None
+    first, last = start + step * int(offsets[0]), start + step * int(offsets[-1])
+    gaps = offsets[:-1]
+    np.subtract(offsets[1:], gaps, out=gaps)
+    head = tail = None
+    if len(gaps):
+        head, tail = step * int(gaps[0]), step * int(gaps[-1])
+    singles = _spread(np.bincount(gaps), step)
+    pairs = _NO_COUNTS
+    if sums and len(gaps) > 1:
+        np.add(gaps[:-1], gaps[1:], out=gaps[:-1])
+        pairs = _spread(np.bincount(gaps[:-1]), step)
+    return GapTally(first, last, head, tail, singles, pairs)
+
+
+def _spread(counts: np.ndarray, step: int) -> np.ndarray:
+    """A histogram of values v moved to the values step * v."""
+    if step == 1 or not len(counts):
+        return counts
+    spread = np.zeros(step * (len(counts) - 1) + 1, dtype=counts.dtype)
+    spread[::step] = counts
+    return spread
+
+
+def _merge_gaps(tallies: Iterable[GapTally | None], sums: bool) -> GapTally:
+    """The GapTally of consecutive runs of values, from theirs in order
+    (None for a run with no value): the gap across each seam, from one
+    run's last value to the next one's first, is added to the singles,
+    and, with sums, its sums with the gaps on either side of it."""
+    first = last = head = tail = None
+    singles = pairs = _NO_COUNTS
+    seams: list[int] = []
+    seam_sums: list[int] = []
+    for run in tallies:
+        if run is None:
+            continue
+        singles = _add_counts(singles, run.singles)
+        pairs = _add_counts(pairs, run.sums)
+        if last is None:
+            first, head = run.first, run.head
+        else:
+            seam = run.first - last
+            seams.append(seam)
+            if sums:
+                seam_sums += [tail + seam] if tail is not None else []
+                seam_sums += [seam + run.head] if run.head is not None else []
+            head = seam if head is None else head
+            tail = seam
+        last = run.last
+        tail = run.tail if run.tail is not None else tail
+    singles = _add_counts(singles, np.bincount(seams))
+    pairs = _add_counts(pairs, np.bincount(seam_sums))
+    return GapTally(first, last, head, tail, singles, pairs)
+
+
+def tally_gaps(
+    lo: int, hi: int, primes: np.ndarray, budget: int = SIEVE_BUDGET, sums: bool = False
+) -> GapTally:
+    """The GapTally of the odd values in [lo, hi] divisible by none of
+    the odd primes, with the sums of adjacent gaps when sums is set: one
+    ``map_segments`` pass, each chunk tallied on its worker thread and
+    the chunks merged here, in order."""
+    tally = functools.partial(_tally_offsets, step=2, sums=sums)
+    return _merge_gaps(map_segments(lo, hi, primes, tally, budget), sums)
+
+
 def prime_segments(
     lo: int, hi: int, budget: int = SIEVE_BUDGET
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Primes in [lo, hi], increasing, as (start, offsets) segments, the
     shape ``strike_segments`` yields: the primes are start + offsets.
 
-    The base primes up to sqrt(hi) come first, as one (0, primes)
-    segment.  Above sqrt(hi), ``strike_segments`` strikes the odd base
-    primes from each segment, and its segments pass straight through.
-    Every such segment starts above every base prime, so striking all
-    multiples leaves exactly the odd primes; 2 reaches the range pass
-    only when hi < 4, and is added there.  Both passes are held to
-    budget in integers spanned, the range's first: a range past the
-    budget is refused before the int64 bound is checked and before any
-    base prime is sieved.
+    The primes up to sqrt(hi) that lie in the range come first, as one
+    (0, primes) segment, from ``_prime_pass``.  Above sqrt(hi),
+    ``strike_segments`` strikes the odd base primes from each segment,
+    and its segments pass straight through.
     """
     if hi < 2:
         return
+    head, range_lo, odd = _prime_pass(lo, hi, budget)
+    yield 0, head
+    yield from strike_segments(range_lo, hi, odd, budget)
+
+
+def prime_gap_tally(lo: int, hi: int, budget: int = SIEVE_BUDGET) -> GapTally:
+    """The GapTally of the primes in [lo, hi]: those up to sqrt(hi) from
+    ``_prime_pass``, then one ``map_segments`` pass over the rest,
+    merged in order."""
+    if hi < 2:
+        return _merge_gaps([], False)
+    head, range_lo, odd = _prime_pass(lo, hi, budget)
+    tally = functools.partial(_tally_offsets, step=2, sums=False)
+    rest = map_segments(range_lo, hi, odd, tally, budget)
+    return _merge_gaps(itertools.chain([_tally_offsets(0, head, 1, False)], rest), False)
+
+
+def _prime_pass(lo: int, hi: int, budget: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """For the primes in [lo, hi], hi >= 2: (head, range_lo, odd), where
+    head holds those up to sqrt(hi) (none when the range starts above
+    sqrt(hi)), and the rest are the odd values in [range_lo, hi] that
+    none of odd, the odd primes up to sqrt(hi), divides.
+
+    Every such value starts above every base prime, so striking all
+    multiples leaves exactly the odd primes; 2 reaches the range pass
+    only when hi < 4, and is the head there.  Both passes are held to
+    budget in integers spanned, the range's first: a range past the
+    budget is refused before the int64 bound is checked and before any
+    base prime is sieved.  odd is a copy, so a consumer may overwrite
+    head."""
     root = math.isqrt(hi)
     range_lo = max(lo, root + 1)
     _require_span(range_lo, hi, budget)
     if hi > _INT64_MAX:
         raise ValueError(f"prime segments hold int64 values, got hi={hi}")
     base = sieve_primes(root, budget)
-    # Copy the odd base primes before base is handed out: a consumer
-    # may overwrite the array it is given.
     odd = base[1:].copy()
-    if lo <= root:
-        yield 0, base[np.searchsorted(base, lo) :]
+    head = base[np.searchsorted(base, lo) :]
     if range_lo == 2:
-        yield 0, np.array([2], dtype=np.int64)
-    yield from strike_segments(range_lo, hi, odd, budget)
+        head = np.array([2], dtype=np.int64)
+    return head, range_lo, odd
 
 
 def segment_gaps(
@@ -323,14 +582,24 @@ def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed (nth_prime(1) == 2).
 
     A miss fills the table by one sieve to Rosser's bound
-    p_n < n (ln n + ln ln n) for n >= 6 (1941), with n = max(i, 6), so
-    whether i is answered does not depend on what ran before.  An i whose
-    sieve is past the budget is refused before anything is allocated."""
+    p_n < n (ln n + ln ln n) for n >= 6 (1941), with n = max(i, 6), or
+    to SIEVE_BUDGET, read at the call, where that bound lies past it, so
+    whether i is answered does not depend on what ran before, and every
+    prime up to the budget is answered.  An i that the budget cannot
+    hold is refused: at once when i is past Dusart's bound on the
+    primes up to it, pi(x) <= x / ln x * (1 + 1.2762 / ln x), otherwise
+    once the sieve comes up short."""
     if i < 1:
         raise ValueError(f"prime index must be >= 1, got {i}")
     if len(_PRIMES) < i:
         n = max(i, 6)
-        _PRIMES[:] = sieve_primes(int(n * (math.log(n) + math.log(math.log(n)))) + 1).tolist()
+        limit = min(int(n * (math.log(n) + math.log(math.log(n)))) + 1, SIEVE_BUDGET)
+        log = math.log(limit)
+        if i > limit / log * (1 + 1.2762 / log) or len(primes := sieve_primes(limit)) < i:
+            raise ValueError(
+                f"sieving to the prime of index {i} exceeds the sieve budget of {SIEVE_BUDGET} integers"
+            )
+        _PRIMES[:] = primes.tolist()
     return _PRIMES[i - 1]
 
 

@@ -1,7 +1,7 @@
 """Gap censuses, gap propagation, and pair-lineage counting.
 
-Covers: gap histograms of consecutive prospective primes (read from
-``arith.segment_gaps`` over ``wheel.prospective_segments``),
+Covers: gap histograms of consecutive prospective primes (by
+``arith.tally_gaps`` over ``wheel.prospective_range``),
 the four-case classification of what one propagation step does to a pair
 of adjacent gaps, exhaustive lineage trees for a single root pair with
 the closed-form count they must match, the search for a lineage's root
@@ -58,14 +58,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (
-    SIEVE_BUDGET, _strike, first_pair_with_gap, is_prime, nth_prime, primorial,
-    segment_gaps,
+    SIEVE_BUDGET, _add_counts, _strike, first_pair_with_gap, is_prime, nth_prime, primorial,
+    tally_gaps,
 )
 from .wheel import (
     is_consecutive,
     is_prospective,
     mhat,
     propagate,
+    prospective_range,
     prospective_segments,
     subset_bounds,
     subset_extremes,
@@ -106,8 +107,9 @@ def gap_census(
 ) -> GapCensus:
     """Exact gap histogram over the full window, one subset, or a range.
 
-    A subset, a range and the full level-2 window are sieved: the chunks
-    of ``arith.segment_gaps`` histogrammed with np.bincount.  A subset
+    A subset, a range and the full level-2 window are sieved: one
+    ``arith.tally_gaps`` pass, whose chunks are histogrammed with
+    np.bincount on the threads of its pool.  A subset
     spans one copy of the level-(k - 1) window, so it costs what that
     window does.  The full window at level k >= 3 is not sieved: it
     follows from one pass over the level-(k - 1) window, P_k times
@@ -133,21 +135,9 @@ def gap_census(
         return GapCensus(level=k, scope="full", entries=_one_step_census(k, budget))
     else:
         scope = "full"
-    counts = np.zeros(0, dtype=np.int64)
-    for _, gaps in segment_gaps(prospective_segments(k, lo, hi, budget)):
-        counts = _tally(counts, gaps)
-        # Drop this segment's gaps before the next one is struck, so
-        # only one segment's values are alive at a time.
-        del gaps
+    counts = tally_gaps(*prospective_range(k, lo, hi), budget).singles
     entries = {int(g): int(counts[g]) for g in np.flatnonzero(counts)}
     return GapCensus(level=k, scope=scope, entries=entries)
-
-
-def _tally(counts: np.ndarray, values) -> np.ndarray:
-    """counts, indexed by value, plus one for each of values."""
-    tally = np.bincount(values, minlength=len(counts))
-    tally[: len(counts)] += counts
-    return tally
 
 
 def _one_step_census(k: int, budget: int) -> dict[int, int]:
@@ -168,29 +158,15 @@ def _one_step_census(k: int, budget: int) -> dict[int, int]:
 
     with i + 1 taken mod n.  The window [5, 4 + P_k#] leaves out the one
     level-k wrap gap, P_{k+1} - 1.  A level-(k - 1) gap that P_k divides
-    is refused.  Each chunk's gaps are tallied, then overwritten by the
-    sums of adjacent gaps, and the last gap is carried to the next
-    chunk, so no second array is made.
+    is refused.  ``arith.tally_gaps`` counts the gaps of the window and
+    the sums of adjacent ones, seams included, and its first and last
+    gap close the cycle with the wrap gap.
     """
     p = nth_prime(k)
-    singles = pairs = np.zeros(0, dtype=np.int64)
-    seams: list[int] = []  # the pair sums that straddle two chunks
-    first = last = None
-    for _, gaps in segment_gaps(prospective_segments(k - 1, budget=budget)):
-        if not len(gaps):
-            continue
-        singles = _tally(singles, gaps)
-        if last is None:
-            first = int(gaps[0])
-        else:
-            seams.append(last + int(gaps[0]))
-        last = int(gaps[-1])
-        np.add(gaps[:-1], gaps[1:], out=gaps[:-1])
-        pairs = _tally(pairs, gaps[:-1])
-        del gaps
+    window = tally_gaps(*prospective_range(k - 1), budget, sums=True)
     wrap = p - 1
-    singles = _tally(singles, [wrap])
-    pairs = _tally(pairs, seams + [last + wrap, wrap + first])
+    singles = _add_counts(window.singles, np.bincount([wrap]))
+    pairs = _add_counts(window.sums, np.bincount([window.tail + wrap, wrap + window.head]))
     if singles[p::p].any():
         raise ValueError(f"a level-{k - 1} gap is a multiple of P_{k} = {p}: "
                          f"one propagation step cannot count level {k}")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .arith import nth_prime, primorial
+from .arith import map_segments, nth_prime, primorial
 from .census import (
     derive_pairs,
     find_root_pair,
@@ -35,7 +35,7 @@ from .primepairs import (
     k_for_level,
     verify_prospective_below_square,
 )
-from .wheel import enumerate_prospective, mhat, prospective_segments, subset_of
+from .wheel import enumerate_prospective, mhat, prospective_range, subset_of
 
 
 @dataclass
@@ -49,7 +49,7 @@ def check_prospective_counts(max_level: int) -> str | None:
     """|prospectives at level k| equals prod (P_i - 1)."""
     for k in range(2, min(max_level, 8) + 1):
         expected = math.prod(nth_prime(i) - 1 for i in range(1, k + 1))
-        observed = sum(len(offsets) for _, offsets in prospective_segments(k))
+        observed = sum(map_segments(*prospective_range(k), lambda start, offsets: len(offsets)))
         if observed != expected:
             return f"k={k}: {observed} != {expected}"
     return None

@@ -25,11 +25,14 @@ whose sqrt(P_l#) is past the sieve budget; ``verify`` checks that the
 two agree.
 
 The pair count and the pair search read the gaps between consecutive
-primes from ``arith.segment_gaps`` over the (start, offsets) segments
-of ``arith.prime_segments``, for just the range they need, so pairs
-straddling a segment edge are seen: pair counts add up ``gaps == g`` per
-chunk, and the pair search is ``arith.first_pair_with_gap`` over the
-first budget integers above M.
+primes of just the range they need, so pairs straddling a segment edge
+are seen.  The pair count reads its gap histogram from one
+``arith.prime_gap_tally`` pass, which strikes hundreds of base primes
+in any range of more than one chunk, and so runs on the caller's
+thread (see ``arith.map_segments``).  The pair search is
+``arith.first_pair_with_gap`` over the ``arith.prime_segments`` of the
+first budget integers above M, and stops at the first segment with a
+hit.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (
-    SIEVE_BUDGET, first_pair_with_gap, is_prime, nth_prime, prime_count_pi, prime_segments,
-    primorial, segment_gaps, sieve_primes,
+    SIEVE_BUDGET, first_pair_with_gap, is_prime, nth_prime, prime_count_pi, prime_gap_tally,
+    prime_segments, primorial, sieve_primes,
 )
 from .census import find_root_pair, predicted_derived_count, require_gap
 from .wheel import is_consecutive, next_prospective
@@ -57,12 +60,10 @@ def k_for_level(l: int) -> int:
 
 
 def actual_pair_count(g: int, lo: int, hi: int, budget: int = SIEVE_BUDGET) -> int:
-    """Consecutive-prime pairs (q, q') with q' - q = g and lo < q, q' < hi."""
-    count = 0
-    for _, gaps in segment_gaps(prime_segments(lo + 1, hi - 1, budget)):
-        count += int(np.count_nonzero(gaps == g))
-        del gaps  # free this segment before the next one is struck
-    return count
+    """Consecutive-prime pairs (q, q') with q' - q = g and lo < q, q' < hi,
+    read off the gap histogram of ``arith.prime_gap_tally``."""
+    counts = prime_gap_tally(lo + 1, hi - 1, budget).singles
+    return int(counts[g]) if 0 <= g < len(counts) else 0
 
 
 class LowerBound(NamedTuple):

@@ -15,20 +15,21 @@ k)`` walks down; Jacobsthal's function bounds both walks.
 ``is_consecutive`` checks a run of prospective primes by that walk, and
 ``subset_extremes`` finds a subset's ends by it.
 
-Whole windows, subsets and ranges are found by the one sieve driver,
-``arith.strike_segments``: every wheel holds 2, so it masks only the
-odd integers of each segment of the window, segments that grow from
-``arith.FIRST_SEGMENT`` to ``arith.SEGMENT_SIZE`` integers, and strikes
-P_2..P_k from them, and ``prospective_segments`` yields the survivors
-as one (start, offsets) pair per segment.  Array consumers
-(the gap census, through ``arith.segment_gaps``) read the offsets
-directly; ``enumerate_prospective`` adds the start back value by value,
-as Python ints, so windows past 2^63 work.
+Whole windows, subsets and ranges are sieved by ``arith``:
+``prospective_range`` clamps a range to the window and gives the primes
+P_2..P_k to strike (every wheel holds 2, so ``arith`` masks only odd
+integers).  ``prospective_segments`` hands them to the serial
+``arith.strike_segments``, whose segments grow from
+``arith.FIRST_SEGMENT`` to ``arith.SEGMENT_SIZE`` integers, and yields
+the survivors as one (start, offsets) pair per segment;
+``enumerate_prospective`` adds the start back value by value, as Python
+ints, so windows past 2^63 work.  The gap census hands them to
+``arith.tally_gaps``, which strikes and tallies chunks on a pool.
 
 Every level above ``arith.MAX_PRIMORIAL_INDEX`` (25) is refused, since
 ``arith.primorial`` refuses its index.  Up to it, no level is refused
 for being high: what a window, subset or range costs is the integers it
-spans, and the sieve budget of ``arith.strike_segments`` bounds that.
+spans, and the sieve budget of ``arith`` bounds that.
 A narrow range at level 16 is cheap; the full level-10 window is refused
 at the default budget.
 """
@@ -105,18 +106,13 @@ def is_consecutive(run: tuple[int, ...], k: int) -> bool:
     )
 
 
-def prospective_segments(
-    k: int,
-    lo: int | None = None,
-    hi: int | None = None,
-    budget: int = SIEVE_BUDGET,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Prospective primes of level k in [lo, hi], increasing, as one
-    (start, offsets) pair per segment of the range, as
-    ``arith.strike_segments`` yields them (offsets may be empty).
-
-    The range is clamped to the level-k window; a range that misses the
-    window is refused, naming both."""
+def prospective_range(
+    k: int, lo: int | None = None, hi: int | None = None
+) -> tuple[int, int, np.ndarray]:
+    """(start, end, primes): the range [lo, hi] clamped to the level-k
+    window, and the odd primes P_2..P_k whose multiples a sieve of it
+    strikes (every wheel holds 2, so the sieve masks odd values only).
+    A range that misses the window is refused, naming both."""
     if k < 2:
         raise ValueError(f"level must be >= 2, got {k}")
     if lo is not None and hi is not None and lo > hi:
@@ -126,9 +122,20 @@ def prospective_segments(
     end = last if hi is None else min(hi, last)
     if start > end:
         raise ValueError(f"range {lo}:{hi} misses the level-{k} window [{first}, {last}]")
-    # Every wheel holds 2 (k >= 2), so the odd-only driver strikes P_2..P_k.
-    primes = np.array([nth_prime(i) for i in range(2, k + 1)], dtype=np.int64)
-    return strike_segments(start, end, primes, budget)
+    return start, end, np.array([nth_prime(i) for i in range(2, k + 1)], dtype=np.int64)
+
+
+def prospective_segments(
+    k: int,
+    lo: int | None = None,
+    hi: int | None = None,
+    budget: int = SIEVE_BUDGET,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Prospective primes of level k in [lo, hi], increasing, as one
+    (start, offsets) pair per segment of the range, as
+    ``arith.strike_segments`` yields them (offsets may be empty), over
+    ``prospective_range``."""
+    return strike_segments(*prospective_range(k, lo, hi), budget)
 
 
 def enumerate_prospective(k: int, lo: int | None = None, hi: int | None = None) -> Iterator[int]:

@@ -28,6 +28,19 @@ def oracle_prospective(k, lo=None, hi=None):
     return [n for n in range(lo, hi + 1) if all(n % p for p in wheel)]
 
 
+def oracle_prospective_sieved(k, lo=None, hi=None):
+    """What oracle_prospective gives, by a plain sieve for windows too
+    wide for trial division: one flag byte per integer of [lo, hi], and
+    the multiples of each of the first k primes cleared."""
+    lo = 5 if lo is None else max(lo, 5)
+    hi = 4 + primorial(k) if hi is None else min(hi, 4 + primorial(k))
+    flags = bytearray([1]) * (hi - lo + 1)
+    for p in (nth_prime(i) for i in range(1, k + 1)):
+        first = -lo % p
+        flags[first::p] = bytes(len(range(first, len(flags), p)))
+    return list(compress(range(lo, hi + 1), flags))
+
+
 def mhat_by_alpha_search(p_tilde, k_next):
     """Definitional disallowed index: the m making propagation divisible
     by P_{k_next}, found by scanning alpha."""

@@ -51,6 +51,31 @@ def test_nth_prime_answers_what_an_empty_table_answers(monkeypatch):
         nth_prime(3000)  # its own sieve, to 28 230, is past the budget
 
 
+def test_nth_prime_answers_every_prime_inside_the_budget(monkeypatch):
+    # Rosser's bound overshoots p_i: under a 20 000 integer budget it
+    # passes 20 000 from i = 2 129 on, while p_2262 = 19 997 is the last
+    # prime inside.  The sieve stops at the budget, so all of them are
+    # answered, each from an empty table, and i = 2 263 is refused.
+    # sieve_primes is held to the same budget, so a sieve past it fails.
+    primes = oracle_primes(20000)
+    assert len(primes) == 2262 and primes[-1] == 19997
+    sieve = arith.sieve_primes
+    monkeypatch.setattr(arith, "SIEVE_BUDGET", 20000)
+    monkeypatch.setattr(
+        arith, "sieve_primes", lambda limit, budget=20000: sieve(limit, min(budget, 20000))
+    )
+    for i in range(2129, 2263):
+        monkeypatch.setattr(arith, "_PRIMES", [])
+        assert nth_prime(i) == primes[i - 1], i
+    monkeypatch.setattr(arith, "_PRIMES", [])
+    with pytest.raises(ValueError, match="index 2263 exceeds the sieve budget of 20000 integers"):
+        nth_prime(2263)
+    # Past Dusart's bound on pi(20 000), 2 279.7, nothing is sieved.
+    monkeypatch.setattr(arith, "sieve_primes", None)
+    with pytest.raises(ValueError, match="index 2280 exceeds the sieve budget"):
+        nth_prime(2280)
+
+
 def test_primorial_examples():
     assert primorial(1) == 2
     assert primorial(4) == 210

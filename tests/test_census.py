@@ -25,7 +25,9 @@ from polignac.census import (
     subset_gap_spectrum,
     table1,
 )
-from polignac.wheel import enumerate_prospective, is_prospective, mhat, prospective_segments, subset_of
+from polignac.wheel import (
+    enumerate_prospective, is_prospective, mhat, prospective_range, prospective_segments, subset_of,
+)
 from conftest import oracle_lineage, oracle_prospective
 
 FIXTURE = Path(__file__).parent / "data" / "table1.json"
@@ -118,9 +120,9 @@ def test_full_census_sieves_only_the_level_below(monkeypatch):
 
     def recording(k, *args, **kwargs):
         sieved.append(k)
-        return prospective_segments(k, *args, **kwargs)
+        return prospective_range(k, *args, **kwargs)
 
-    monkeypatch.setattr(census, "prospective_segments", recording)
+    monkeypatch.setattr(census, "prospective_range", recording)
     gap_census(6)
     gap_census(6, subset=2)
     gap_census(6, lo=100, hi=200)

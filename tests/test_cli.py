@@ -626,8 +626,8 @@ def test_verify_reports_failed_check(capsys, monkeypatch):
 # Each check reads one name of checks that, off by one, fails it: the
 # check, that name, the off-by-one stand-in, and the failure's detail.
 OFF_BY_ONE = [
-    (checks.check_prospective_counts, "prospective_segments",
-     lambda f: lambda k: [(0, [0]), *f(k)], "k=2: 3 != 2"),
+    (checks.check_prospective_counts, "map_segments",
+     lambda f: lambda *args: [1, *f(*args)], "k=2: 3 != 2"),
     (checks.check_twin_counts, "gap_census",
      lambda f: lambda k: GapCensus(k, "full", {2: f(k).entries[2] + 1}), "k=3: 4 != 3"),
     (checks.check_lineage_counts, "predicted_derived_count",

@@ -1,7 +1,7 @@
 """The package imports only the standard library and numpy, reads no
 environment variable (the sieve budget is set by ``--budget`` alone),
-computes nothing at import, and has no public name that only its own
-tests reach."""
+computes nothing and starts no thread at import, and has no public name
+that only its own tests reach."""
 
 import ast
 import os
@@ -44,6 +44,45 @@ def test_no_environment_reads(module):
             )
         if isinstance(node, ast.ImportFrom) and node.module == "os":
             assert not {a.name for a in node.names} & ENVIRONMENT_READS, module.name
+
+
+POOL_MODULES = {"concurrent", "multiprocessing"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.name)
+def test_no_pool_import_at_module_level(module):
+    # A pool module is imported by the pass that uses it, so importing
+    # the package imports none and starts no thread.  Everything outside
+    # a function body runs at import, so only function bodies are skipped.
+    nodes = [ast.parse(module.read_text())]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        nodes += ast.iter_child_nodes(node)
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        assert not {name.partition(".")[0] for name in names} & POOL_MODULES, (
+            module.name, node.lineno
+        )
+
+
+def test_import_starts_no_thread():
+    probe = (
+        "import sys, threading\n"
+        "import polignac, polignac.cli\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
+    src = str(Path(polignac.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.split() == ["1", "False"]
 
 
 def test_import_sieves_nothing():

@@ -188,8 +188,10 @@ def test_segment_gaps_match_diff(case):
     ],
     ids=["gap_census", "actual_pair_count"],
 )
-def test_one_segment_alive(monkeypatch, call, bound):
+@pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"W{w}")
+def test_one_segment_alive(monkeypatch, call, bound, workers):
     monkeypatch.setattr(arith, "SEGMENT_SIZE", 2**18)
+    monkeypatch.setattr(arith, "_workers", lambda: workers)
     call()  # fill the prime table outside the traced run
     tracemalloc.start()
     try:
@@ -398,8 +400,9 @@ def test_sieve_primes_large_path_peaks_near_its_result():
     assert peak <= primes.nbytes + 4 * 2**20
 
 
-# Segmented passes per call: every base prime a call needs takes the
-# one-mask path, so only a range past sqrt(hi) costs a pass.
+# Segmented passes per call, by strike_segments or map_segments: every
+# base prime a call needs takes the one-mask path, so only a range past
+# sqrt(hi) costs a pass.
 @pytest.mark.parametrize(
     "call, passes",
     [
@@ -412,15 +415,17 @@ def test_sieve_primes_large_path_peaks_near_its_result():
 )
 def test_strike_segments_passes(monkeypatch, call, passes):
     counted = []
-    strike = arith.strike_segments
 
-    def counting(*args):
-        counted.append(args[:2])
-        return strike(*args)
+    def counting(sieve):
+        def counted_pass(*args):
+            counted.append(args[:2])
+            return sieve(*args)
+        return counted_pass
 
     monkeypatch.setattr(arith, "_PRIMES", [])
     monkeypatch.setattr(arith, "_PRIMORIALS", [])
-    monkeypatch.setattr(arith, "strike_segments", counting)
+    for name in ("strike_segments", "map_segments"):
+        monkeypatch.setattr(arith, name, counting(getattr(arith, name)))
     call()
     assert len(counted) == passes, counted
 
