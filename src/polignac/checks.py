@@ -135,12 +135,13 @@ def check_bounds_vs_reality(max_level: int) -> str | None:
     do, and the sieve's k, the number of primes up to sqrt(P_l#), is
     pi(sqrt(P_l#)) by Lucy's recursion."""
     for l in range(3, min(max_level, 5) + 1):
+        k = k_for_level(l)
         for g in (2, 4, 6):
             r = 2 if g == 2 else 3  # least level holding a gap-g pair, never above l
             report = bound_report(r, l, g)
             if not report.holds:
                 return f"r={r} l={l} g={g}: {report.observed} < {report.bound}"
-            if report.k != (k := k_for_level(l)):
+            if report.k != k:
                 return f"l={l}: sieved k={report.k} != pi k={k}"
     return None
 

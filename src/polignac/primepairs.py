@@ -29,7 +29,11 @@ primes of just the range they need, so pairs straddling a segment edge
 are seen.  The pair count reads its gap histogram from one
 ``arith.prime_gap_tally`` pass, which strikes hundreds of base primes
 in any range of more than one chunk, and so runs on the caller's
-thread (see ``arith.map_segments``).  The pair search is
+thread (see ``arith.map_segments``).  ``bound_report`` keeps one such
+histogram, read-only: that of the last window it counted, keyed by the
+window and the budget.  Calls in a row at one level, for any r and g,
+share one pass; a call at another level, or with another budget, makes
+a full pass over its window and replaces the entry.  The pair search is
 ``arith.first_pair_with_gap`` over the ``arith.prime_segments`` of the
 first budget integers above M, and stops at the first segment with a
 hit.
@@ -37,6 +41,7 @@ hit.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -64,6 +69,15 @@ def actual_pair_count(g: int, lo: int, hi: int, budget: int = SIEVE_BUDGET) -> i
     read off the gap histogram of ``arith.prime_gap_tally``."""
     counts = prime_gap_tally(lo + 1, hi - 1, budget).singles
     return int(counts[g]) if 0 <= g < len(counts) else 0
+
+
+@functools.lru_cache(maxsize=1)
+def _window_gaps(lo: int, hi: int, budget: int) -> np.ndarray:
+    """The gap histogram ``actual_pair_count`` reads for (lo, hi), kept
+    for the last window only and read-only, since every caller shares it."""
+    counts = prime_gap_tally(lo + 1, hi - 1, budget).singles
+    counts.setflags(write=False)
+    return counts
 
 
 class LowerBound(NamedTuple):
@@ -172,7 +186,13 @@ def bound_report(r: int, l: int, g: int, budget: int = SIEVE_BUDGET) -> BoundRep
     budget before that window is sieved; only then do P_1, ..., P_k come
     from one sieve to sqrt(P_l#) and the exact bound get built: past
     l = 10 the bound alone takes seconds to minutes, and a refusal must
-    not wait for it."""
+    not wait for it.
+
+    The count is read off the window's gap histogram, which is kept,
+    read-only, until a call with another window or budget replaces it:
+    the gaps asked of one level in a row cost one pass over its window,
+    and a call at a new level costs the same full pass as
+    ``actual_pair_count``.  A refusal is never kept."""
     if l < 3:
         raise ValueError(f"level must be >= 3, got {l}")
     _require_root(r, l, g)
@@ -184,7 +204,8 @@ def bound_report(r: int, l: int, g: int, budget: int = SIEVE_BUDGET) -> BoundRep
         p_k -= 1
     while not is_prime(p_next):
         p_next += 1
-    observed = actual_pair_count(g, p_k, p_next**2, budget=budget)
+    counts = _window_gaps(p_k, p_next**2, budget)
+    observed = int(counts[g]) if g < len(counts) else 0
     bound = _lower_bound(r, l, g, sieve_primes(root, budget))
     return BoundReport(
         r=r, l=l, g=g, k=bound.k, window=(p_k, p_next**2),

@@ -2,14 +2,15 @@ import json
 import math
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polignac import arith
+from polignac import arith, primepairs
 from polignac.arith import nth_prime, primorial
-from polignac.census import gap_census
+from polignac.census import find_root_pair, gap_census
 from polignac.cli import main
 from polignac.primepairs import (
     actual_pair_count,
@@ -114,6 +115,57 @@ def test_bound_report_fields():
     payload = report.to_json_dict()
     assert payload["observed"] == str(report.observed)
     assert payload["k"] == 15
+
+
+def counted_tallies(monkeypatch):
+    """The calls bound_report makes to prime_gap_tally from now on, with
+    its kept window cleared."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tally(*args)
+
+    tally = primepairs.prime_gap_tally
+    monkeypatch.setattr(primepairs, "prime_gap_tally", counted)
+    primepairs._window_gaps.cache_clear()
+    return calls
+
+
+def test_bound_report_sieves_each_window_once(monkeypatch):
+    # Every gap asked of one level, each with the least level r holding a
+    # gap-g pair as its root, is read off one pass over the window.
+    calls = counted_tallies(monkeypatch)
+    gaps = (2, 4, 6, 8, 10, 12)
+    roots = {g: next(r for r in range(2, 6) if find_root_pair(r, g)) for g in gaps}
+    for l in (5, 6, 7):
+        reports = [bound_report(roots[g], l, g) for g in gaps]
+        lo, hi = reports[0].window
+        primes = [q for q in oracle_primes(hi - 1) if q > lo]
+        found = Counter(b - a for a, b in zip(primes, primes[1:]))
+        assert [report.observed for report in reports] == [found[g] for g in gaps], l
+        assert len(calls) == l - 4, l
+
+
+def test_bound_report_warm_window_changes_no_refusal(monkeypatch):
+    calls = counted_tallies(monkeypatch)
+    with pytest.raises(ValueError, match="sieve budget") as cold:
+        bound_report(2, 8, 2, budget=10**6)
+    report = bound_report(2, 8, 2)
+    with pytest.raises(ValueError, match="sieve budget") as warm:
+        bound_report(2, 8, 2, budget=10**6)
+    assert str(warm.value) == str(cold.value)
+    assert len(calls) == 3
+    bound_report(3, 8, 4)
+    assert len(calls) == 3
+    # One window is kept: a call at l = 7 replaces level 8's.
+    bound_report(2, 7, 2)
+    bound_report(3, 8, 6)
+    assert len(calls) == 5
+    counts = primepairs._window_gaps(*report.window, primepairs.SIEVE_BUDGET)
+    assert len(calls) == 5
+    with pytest.raises(ValueError):
+        counts[2] = 0
 
 
 def test_bound_report_past_budget_refused_cheaply(monkeypatch):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polignac import arith, wheel
+from polignac import arith, primepairs, wheel
 from polignac.arith import nth_prime, prime_count_pi, primorial
 from polignac.census import find_root_pair, gap_census
 from polignac.cli import main
@@ -424,6 +424,7 @@ def test_strike_segments_passes(monkeypatch, call, passes):
 
     monkeypatch.setattr(arith, "_PRIMES", [])
     monkeypatch.setattr(arith, "_PRIMORIALS", [])
+    primepairs._window_gaps.cache_clear()
     for name in ("strike_segments", "map_segments"):
         monkeypatch.setattr(arith, name, counting(getattr(arith, name)))
     call()
