@@ -12,49 +12,47 @@ as large as a mask's flag count hits it at most once, so the kernel
 strikes all such primes with one scatter and loops over the smaller
 ones only.  On a mask of more than _TILE = 3 * 5 * 7 * 11 * 13 = 15015
 flags, the leading primes that divide _TILE and start below p (every
-prime of a ``strike_segments`` or ``map_segments`` pass, whose first
-indices are reduced mod p) are struck once on a block of _TILE flags,
-which is tiled over the mask.
+prime of a ``map_segments`` pass, whose first indices are reduced mod
+p) are struck once on a block of _TILE flags, which is tiled over the
+mask.
 Its callers strike odd primes only, as int64 arrays: the wheel's
 P_2..P_k (every wheel holds 2), the odd base primes up to sqrt(hi) of a
 prime range, and in ``sieve_primes`` the odd primes up to sqrt(limit).
 
-Two functions cut a range into masks for the kernel, one flag per odd
-integer, and both compute each prime's first index by one function,
-``_first_indices``.  ``strike_segments`` is serial and streams: it cuts
-a range into segments and yields the survivors of each in order as
-int64 offsets from the segment's start, a Python int, so segments past
-2^63 stay exact.  A pass's first segment spans ``FIRST_SEGMENT``
-integers and each later one doubles, up to ``SEGMENT_SIZE``, so a
-search that stops a few values in strikes one small segment; a full
-segment's mask fits in half of a 2 MiB L2.  Searches
-(``first_pair_with_gap``), ``gen`` and ``sieve_primes`` use it: a
-search must strike only what it reads, and ``gen`` writes values in
-order.
-
-``map_segments`` serves the passes that read their whole range: the
-gap censuses, the pair count and the prospective count.  It cuts the
-range into fixed chunks of SEGMENT_SIZE // W integers, W the CPUs in
-the process's affinity mask (read at the first such pass, never at
-import), strikes each chunk and reduces it to a small result on one of
-W threads (the caller's, and a pool of W - 1 started by the first
-pooled pass and kept), and hands the results back in order.  numpy releases the
+One driver, ``map_segments``, cuts a range into masks for the kernel,
+one flag per odd integer, and computes each chunk's first indices by
+``_first_indices``.  It cuts the range into fixed chunks of
+SEGMENT_SIZE // W integers, W the CPUs in the process's affinity mask
+(read at the first such pass, never at import), strikes each chunk and
+reduces it to a result on one of W threads (the caller's, and a pool of
+W - 1 started by the first pooled pass and kept), and hands the results
+back in order, lazily, in rounds of W chunks.  numpy releases the
 interpreter lock in ``np.flatnonzero``, the gap subtraction and
 ``np.bincount``, where a full segment's time goes, so the reduction
 runs in the worker, and the W chunks in flight hold one segment's
 worth.  A pass of one chunk, or W = 1, or of more than _POOLED_PRIMES
 primes, runs on the caller's thread, with no pool and no import: the
 kernel holds the lock between the slices of its loop, so a pass over
-hundreds of base primes gains nothing from threads.  ``tally_gaps`` and
+hundreds of base primes gains nothing from threads.  A range past the
+budget is refused at the call, before anything is struck.  A worker
+calls no public function.
+
+Every pass is a ``map_segments`` pass.  ``tally_gaps`` and
 ``prime_gap_tally`` reduce each chunk to a ``GapTally`` (its first and
 last value, first and last gap, and the histograms of its gaps and, for
 the one-step census, of the sums of adjacent gaps) and merge the
-tallies in order, adding the gaps across the seams.  A worker calls no
-public function.
+tallies in order, adding the gaps across the seams.
+``prime_segments`` and ``wheel.prospective_segments`` reduce each chunk
+to (start, offsets), its values start + offsets with start a Python
+int, so chunks past 2^63 stay exact; ``gen``, ``sieve_primes`` and the
+pair searches read them.  The searches of ``first_pair_with_gap`` read
+a first window of ``FIRST_SEGMENT`` integers, so a pair a few values
+in costs one small pass, and only on a miss a second pass over the rest
+of their prefix; they carry the last value across chunk edges.
 
 Every pass's base primes come from ``sieve_primes``, which up to
 SEGMENT_SIZE is one odd-only mask struck by one kernel call, and above
-it writes the (start, offsets) segments of ``prime_segments`` into one
+it writes the (start, offsets) chunks of ``prime_segments`` into one
 array sized by Dusart's bound on pi(limit).  ``nth_prime`` alone grows
 the table of the first primes: a miss sieves for the asked index alone,
 to Rosser's bound on the n-th prime or to the sieve budget, whichever
@@ -65,10 +63,6 @@ Lucy's recursion over the values x // i, one update per prime up to
 icbrt(x), and reads Meissel's P2 term, the products of two primes above
 icbrt(x), off the recursion's own arrays.
 
-``segment_gaps`` turns a stream of segments into the gaps between
-consecutive values, carried across segment edges; the pair searches in
-``census`` and ``primepairs`` read it through ``first_pair_with_gap``.
-
 The one work limit is the sieve budget.  A sieve pass may span at most
 budget integers, checked once per pass by ``_require_span`` before the
 pass allocates anything, so every window, subset, range and pair search
@@ -76,7 +70,8 @@ is refused by the same test; ``prime_segments`` checks its range pass
 before it sieves its base primes, so a range past the budget is refused
 before any sieve.  A pair search, ``first_pair_with_gap``, reads only the
 first budget integers of its range, and is refused only when they hold
-no pair and the range runs on.  A prime count may cost at most budget
+no pair and the range runs on; its second pass is refused at its own
+call, after the first window missed.  A prime count may cost at most budget
 units of r * isqrt(r), r = isqrt(x), about x^(3/4), checked before any
 array is allocated.  The default, 2^28, admits the full level-9 window
 (P_9# ~ 2.2e8) and refuses the level-10 one (~6.5e9); it admits pi(x)
@@ -85,7 +80,6 @@ up to x ~ 1.7e11.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -106,13 +100,14 @@ MAX_PRIMORIAL_INDEX = 25
 # 41 MB peak RSS.
 SIEVE_BUDGET = 1 << 28
 
-# Integers per sieve segment.  A full segment's odd-only mask holds 2^20
-# one-byte flags, 1 MiB, half of a 2 MiB L2, so the mask a segment's
-# primes stride over stays cache-resident.
+# Integers per sieve segment: the W chunks of a pooled pass, or one
+# serial chunk, span SEGMENT_SIZE.  A full segment's odd-only mask holds
+# 2^20 one-byte flags, 1 MiB, half of a 2 MiB L2, so the mask a
+# segment's primes stride over stays cache-resident.
 SEGMENT_SIZE = 1 << 21
 
-# Values in a sieve pass's first segment; each later segment doubles, up
-# to SEGMENT_SIZE.
+# Integers in a pair search's first window: a search reads the rest of
+# its prefix only when this window holds no pair.
 FIRST_SEGMENT = 1 << 12
 
 # Strong-probable-prime bases: the first 13 primes.  Sorenson & Webster
@@ -202,44 +197,6 @@ def _first_indices(first: int, primes: np.ndarray) -> np.ndarray:
     return (primes - firsts) * ((primes + 1) // 2) % primes
 
 
-def strike_segments(
-    lo: int, hi: int, primes: np.ndarray, budget: int = SIEVE_BUDGET
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Odd values in [lo, hi] divisible by none of the odd primes (an
-    int64 array in increasing order, which the driver only reads), in
-    increasing order, as one (start, offsets) pair per segment: the
-    survivors are start + offsets, with start a Python int and offsets
-    an int64 array, so segments past 2^63 stay exact.
-
-    The first segment spans FIRST_SEGMENT integers (at most
-    SEGMENT_SIZE) and each later one twice its predecessor, up to
-    SEGMENT_SIZE, so a consumer that stops a few values in has struck
-    little.  Flag i of a segment's mask stands for the odd value
-    start + 2i, so a mask holds half as many flags as the segment spans
-    integers.  A range of more than budget integers is refused by
-    ``_require_span`` before the first segment is struck.  The generator
-    keeps no reference to a yielded array, so a consumer that drops it
-    frees the segment before the next one is struck.
-    """
-    _require_span(lo, hi, budget)
-    first = lo | 1
-    count = (hi - first) // 2 + 1  # odd values in [lo, hi]
-    # The first indices are computed once; each segment starts size
-    # flags on, so its indices are the last ones less size.
-    firsts = _first_indices(first, primes)
-    done, size = 0, min(FIRST_SEGMENT, SEGMENT_SIZE) // 2
-    while done < count:
-        size = min(size, count - done)
-        offsets = np.flatnonzero(_strike(size, primes, firsts))
-        offsets *= 2
-        yield first + 2 * done, offsets
-        del offsets  # free this segment before the next one is struck
-        done += size
-        firsts -= size
-        firsts %= primes
-        size = min(2 * size, SEGMENT_SIZE // 2)
-
-
 @functools.cache
 def _workers() -> int:
     """W, the CPUs in this process's affinity mask (every CPU where the
@@ -268,12 +225,14 @@ def map_segments(
     and of whatever reduce makes of them; reduce must free its arrays
     and return a small result, and must be safe to run on several
     threads at once.  The results come back in order, in rounds of W
-    chunks.  A pass of one chunk, or W = 1, or of more than
-    _POOLED_PRIMES primes runs on the caller's thread, with no pool, in
-    chunks of SEGMENT_SIZE integers.  Nothing is ramped: a pass that
-    reads its whole range has nothing to save by starting small, so
-    searches stay on ``strike_segments``.  A range of more than budget
-    integers is refused before anything is struck.
+    chunks, as they are read: a consumer that stops early strikes at
+    most the rest of its round.  A pass of one chunk, or W = 1, or of
+    more than _POOLED_PRIMES primes runs on the caller's thread, with no
+    pool, in chunks of SEGMENT_SIZE integers.  Nothing is ramped: a pass
+    that reads its whole range has nothing to save by starting small,
+    and a search keeps its first pass small itself (see
+    ``first_pair_with_gap``).  A range of more than budget integers is
+    refused at the call, before anything is struck.
     """
     _require_span(lo, hi, budget)
     first = lo | 1
@@ -381,15 +340,16 @@ def _spread(counts: np.ndarray, step: int) -> np.ndarray:
 
 def _merge_gaps(tallies: Iterable[GapTally | None], sums: bool) -> GapTally:
     """The GapTally of consecutive runs of values, from theirs in order
-    (None for a run with no value): the gap across each seam, from one
-    run's last value to the next one's first, is added to the singles,
-    and, with sums, its sums with the gaps on either side of it."""
+    (None, or a tally with no first value, for a run with no value): the
+    gap across each seam, from one run's last value to the next one's
+    first, is added to the singles, and, with sums, its sums with the
+    gaps on either side of it."""
     first = last = head = tail = None
     singles = pairs = _NO_COUNTS
     seams: list[int] = []
     seam_sums: list[int] = []
     for run in tallies:
-        if run is None:
+        if run is None or run.first is None:
             continue
         singles = _add_counts(singles, run.singles)
         pairs = _add_counts(pairs, run.sums)
@@ -421,34 +381,38 @@ def tally_gaps(
     return _merge_gaps(map_segments(lo, hi, primes, tally, budget), sums)
 
 
+def _value_offsets(start: int, offsets: np.ndarray) -> tuple[int, np.ndarray]:
+    """A ``map_segments`` chunk as (start, offsets), its values
+    start + offsets: the flag indices are doubled in place."""
+    offsets *= 2
+    return start, offsets
+
+
 def prime_segments(
     lo: int, hi: int, budget: int = SIEVE_BUDGET
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Primes in [lo, hi], increasing, as (start, offsets) segments, the
-    shape ``strike_segments`` yields: the primes are start + offsets.
+    """Primes in [lo, hi], increasing, as (start, offsets) chunks: the
+    primes are start + offsets, start a Python int and offsets int64.
 
     The primes up to sqrt(hi) that lie in the range come first, as one
-    (0, primes) segment, from ``_prime_pass``.  Above sqrt(hi),
-    ``strike_segments`` strikes the odd base primes from each segment,
-    and its segments pass straight through.
+    (0, primes) chunk, from ``_prime_pass``; above sqrt(hi), one
+    ``map_segments`` pass strikes the odd base primes from each chunk.
+    Every refusal comes at the call, before the first chunk is struck.
     """
     if hi < 2:
-        return
+        return iter(())
     head, range_lo, odd = _prime_pass(lo, hi, budget)
-    yield 0, head
-    yield from strike_segments(range_lo, hi, odd, budget)
+    return itertools.chain([(0, head)], map_segments(range_lo, hi, odd, _value_offsets, budget))
 
 
 def prime_gap_tally(lo: int, hi: int, budget: int = SIEVE_BUDGET) -> GapTally:
     """The GapTally of the primes in [lo, hi]: those up to sqrt(hi) from
-    ``_prime_pass``, then one ``map_segments`` pass over the rest,
-    merged in order."""
+    ``_prime_pass``, merged with the ``tally_gaps`` pass over the rest."""
     if hi < 2:
         return _merge_gaps([], False)
     head, range_lo, odd = _prime_pass(lo, hi, budget)
-    tally = functools.partial(_tally_offsets, step=2, sums=False)
-    rest = map_segments(range_lo, hi, odd, tally, budget)
-    return _merge_gaps(itertools.chain([_tally_offsets(0, head, 1, False)], rest), False)
+    rest = tally_gaps(range_lo, hi, odd, budget)
+    return _merge_gaps([_tally_offsets(0, head, 1, False), rest], False)
 
 
 def _prime_pass(lo: int, hi: int, budget: int) -> tuple[np.ndarray, int, np.ndarray]:
@@ -477,33 +441,6 @@ def _prime_pass(lo: int, hi: int, budget: int) -> tuple[np.ndarray, int, np.ndar
     return head, range_lo, odd
 
 
-def segment_gaps(
-    segments: Iterable[tuple[int, np.ndarray]],
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Gaps between consecutive values of a stream of (start, offsets)
-    segments, as (base, gaps) chunks in order: base is the value before
-    gaps[0], a Python int, and the values of a chunk are base,
-    base + gaps[0], base + gaps[0] + gaps[1], ...
-
-    Each segment's gaps overwrite its own offsets (no second array).
-    The last value of a segment is carried, and the gap from it to the
-    next segment's first value goes out as a one-gap chunk, a view of
-    the slot that the in-place subtraction frees.
-    """
-    last = None
-    for start, offsets in segments:
-        if not len(offsets):
-            continue
-        first, final = start + int(offsets[0]), start + int(offsets[-1])
-        np.subtract(offsets[1:], offsets[:-1], out=offsets[:-1])
-        if last is not None:
-            offsets[-1] = first - last
-            yield last, offsets[-1:]
-        last = final
-        yield first, offsets[:-1]
-        del offsets  # free this segment before the next one is struck
-
-
 def first_pair_with_gap(
     segments: Callable[[int, int, int], Iterable[tuple[int, np.ndarray]]],
     lo: int,
@@ -515,17 +452,28 @@ def first_pair_with_gap(
     from the budgeted prefix [lo, min(end, lo + budget - 1)], or None
     when the prefix is the whole range and holds no pair.
 
-    segments(lo, hi, budget) gives the (start, offsets) segments of
-    [lo, hi]; one pass streams their ``segment_gaps`` chunks and stops at
-    the first chunk holding the gap.  When the prefix holds no pair and
-    the range runs on past it, the search is refused.
+    segments(lo, hi, budget) gives the (start, offsets) chunks of the
+    values in [lo, hi], start + offsets.  A first pass reads the first
+    FIRST_SEGMENT integers of the prefix, so a pair a few values in
+    costs one small pass; only when they hold no pair does a second pass
+    read the rest.  Each chunk is scanned as it comes, and its last value
+    is carried, so a pair across a chunk edge is seen.  When the prefix
+    holds no pair and the range runs on past it, the search is refused.
     """
     hi = min(end, lo + budget - 1)
-    for base, gaps in segment_gaps(segments(lo, hi, budget)):
-        hits = np.flatnonzero(gaps == g)
+    cut = min(hi, lo + FIRST_SEGMENT - 1)
+    passes = (segments(a, b, budget) for a, b in ((lo, cut), (cut + 1, hi)) if a <= b)
+    last = None
+    for start, offsets in itertools.chain.from_iterable(passes):
+        if not len(offsets):
+            continue
+        if last is not None and start + int(offsets[0]) - last == g:
+            return last, last + g
+        hits = np.flatnonzero(np.diff(offsets) == g)
         if len(hits):
-            q = base + int(gaps[: hits[0]].sum())
+            q = start + int(offsets[hits[0]])
             return q, q + g
+        last = start + int(offsets[-1])
     if hi < end:
         raise ValueError(
             f"no gap-{g} pair among the first {budget} integers above {lo - 1}; "
@@ -542,25 +490,22 @@ def sieve_primes(limit: int, budget: int = SIEVE_BUDGET) -> np.ndarray:
     sieve_primes(isqrt(limit)), is struck from index p*p // 2.  Each
     level of the recursion is one kernel call on the square root of the
     level before.  Above SEGMENT_SIZE, where one mask is slower than
-    segments and needs more memory, the segments of ``prime_segments``
-    are written into one array sized by Dusart's bound,
-    pi(x) <= x / ln x * (1 + 1.2762 / ln x) for x > 1, under 1 %
-    above pi(x) from 2^21 to 10^8, and the filled prefix is returned, so
-    the peak is the result and one segment, and no prime count runs.
-    The first segment is drawn before the array is allocated, so the
-    pass's refusals come first.  Either way the pass over
-    (isqrt(limit), limit] is held to budget before anything is
-    allocated.
+    segments and needs more memory, the chunks of ``prime_segments``,
+    which refuses at the call, are written into one array sized by
+    Dusart's bound, pi(x) <= x / ln x * (1 + 1.2762 / ln x) for x > 1,
+    under 1 % above pi(x) from 2^21 to 10^8, and the filled prefix is
+    returned, so the peak is the result and one segment, and no prime
+    count runs.  Either way the pass over (isqrt(limit), limit] is held
+    to budget before anything is allocated.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit > SEGMENT_SIZE:
         segments = prime_segments(2, limit, budget)
-        first = next(segments)  # the pass's refusals come before the array
         log = math.log(limit)
         primes = np.empty(int(limit / log * (1 + 1.2762 / log)) + 1, dtype=np.int64)
         done = 0
-        for start, offsets in itertools.chain([first], segments):
+        for start, offsets in segments:
             np.add(offsets, start, out=primes[done : done + len(offsets)])
             done += len(offsets)
         return primes[:done]

@@ -1,12 +1,15 @@
 """Gap censuses, gap propagation, and pair-lineage counting.
 
 Covers: gap histograms of consecutive prospective primes (by
-``arith.tally_gaps`` over ``wheel.prospective_range``),
+``arith.tally_gaps`` over ``wheel.prospective_range``, a pass of
+``arith``'s one sieve driver, ``arith.map_segments``),
 the four-case classification of what one propagation step does to a pair
 of adjacent gaps, exhaustive lineage trees for a single root pair with
 the closed-form count they must match, the search for a lineage's root
 pair among the window's first budget integers (by
-``arith.first_pair_with_gap``), subset boundary-gap spectra (from the
+``arith.first_pair_with_gap`` over ``wheel.prospective_segments``, which
+reads a first window of ``arith.FIRST_SEGMENT`` integers and the rest
+of the prefix only on a miss), subset boundary-gap spectra (from the
 walk of ``wheel.subset_extremes``), and the constant separation of the
 two disallowed indices attached to a gap-g pair.  The per-subset minimum
 of a root pair's descendants is checked by

@@ -15,7 +15,7 @@ So ``find-pair --format json`` with no hit prints
 ``{"gap": g, "pair": null}``, and ``census -g G --format csv`` prints
 the census header and the one row ``K,<scope>,G,<count>``, count 0 when
 the gap is absent.  ``gen`` and ``lineage`` stream instead: gen one
-chunk per sieve segment in every format, so its memory does not grow
+chunk per sieve chunk in every format, so its memory does not grow
 with its output, and lineage's json one chunk per leaf of its tree, so
 only the tree is held, not its text.  Both json outputs
 go through one writer, ``_json_stream``: the bytes ``json.dumps`` would
@@ -87,13 +87,12 @@ def _parse_range(spec: str | None) -> tuple[int | None, int | None]:
 
 
 def _cmd_gen(args) -> Output:
-    """One chunk per segment of the range, in every format, json through
-    _json_stream, so only one segment's values are held at a time.  The
-    first segment, if the range has one, is drawn here, before main
-    writes anything or opens --out, so a refusal comes first."""
+    """One chunk per sieve chunk of the range, in every format, json
+    through _json_stream, so only a round of chunks' values is held at a
+    time.  ``wheel.prospective_segments`` refuses at the call, before
+    main writes anything or opens --out."""
     lo, hi = _parse_range(args.range)
     segments = wheel.prospective_segments(args.level, lo, hi, args.budget)
-    segments = itertools.chain(list(itertools.islice(segments, 1)), segments)
     if args.format == "json":
         values = ([f'"{start + o}"' for o in offsets.tolist()] for start, offsets in segments)
         return Output(_json_stream({"level": args.level}, "values", values))

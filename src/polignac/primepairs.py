@@ -25,8 +25,9 @@ whose sqrt(P_l#) is past the sieve budget; ``verify`` checks that the
 two agree.
 
 The pair count and the pair search read the gaps between consecutive
-primes of just the range they need, so pairs straddling a segment edge
-are seen.  The pair count reads its gap histogram from one
+primes of just the range they need, each a pass of ``arith``'s one
+driver, ``arith.map_segments``, so pairs straddling a chunk edge are
+seen.  The pair count reads its gap histogram from one
 ``arith.prime_gap_tally`` pass, which strikes hundreds of base primes
 in any range of more than one chunk, and so runs on the caller's
 thread (see ``arith.map_segments``).  ``bound_report`` keeps one such
@@ -35,7 +36,8 @@ window and the budget.  Calls in a row at one level, for any r and g,
 share one pass; a call at another level, or with another budget, makes
 a full pass over its window and replaces the entry.  The pair search is
 ``arith.first_pair_with_gap`` over the ``arith.prime_segments`` of the
-first budget integers above M, and stops at the first segment with a
+first budget integers above M: a first window of ``arith.FIRST_SEGMENT``
+integers, the rest only on a miss, stopping at the first chunk with a
 hit.
 """
 
@@ -180,7 +182,7 @@ def bound_report(r: int, l: int, g: int, budget: int = SIEVE_BUDGET) -> BoundRep
     """The Theorem 3 bound next to the observed count.  The arguments are
     checked first, then the theorem's premise: level r must hold a
     consecutive gap-g pair, searched for by ``census.find_root_pair``,
-    which reads the level-r window's first segment or a few more.  P_k
+    which reads the level-r window's first 2^12 integers, or more.  P_k
     and P_{k+1} are the primes on either side of sqrt(P_l#), found by
     ``is_prime``.  The count runs next, and refuses a window past the
     budget before that window is sieved; only then do P_1, ..., P_k come

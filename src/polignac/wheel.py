@@ -15,16 +15,16 @@ k)`` walks down; Jacobsthal's function bounds both walks.
 ``is_consecutive`` checks a run of prospective primes by that walk, and
 ``subset_extremes`` finds a subset's ends by it.
 
-Whole windows, subsets and ranges are sieved by ``arith``:
+Whole windows, subsets and ranges are sieved by ``arith``'s one
+driver, ``arith.map_segments``, which strikes chunks on a pool:
 ``prospective_range`` clamps a range to the window and gives the primes
 P_2..P_k to strike (every wheel holds 2, so ``arith`` masks only odd
-integers).  ``prospective_segments`` hands them to the serial
-``arith.strike_segments``, whose segments grow from
-``arith.FIRST_SEGMENT`` to ``arith.SEGMENT_SIZE`` integers, and yields
-the survivors as one (start, offsets) pair per segment;
+integers).  ``prospective_segments`` is one ``map_segments`` pass over
+them that hands back each chunk's survivors as a (start, offsets) pair;
 ``enumerate_prospective`` adds the start back value by value, as Python
-ints, so windows past 2^63 work.  The gap census hands them to
-``arith.tally_gaps``, which strikes and tallies chunks on a pool.
+ints, so windows past 2^63 work.  The gap census hands the same range
+and primes to ``arith.tally_gaps``, which tallies each chunk on its
+worker.
 
 Every level above ``arith.MAX_PRIMORIAL_INDEX`` (25) is refused, since
 ``arith.primorial`` refuses its index.  Up to it, no level is refused
@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import SIEVE_BUDGET, nth_prime, primorial, strike_segments
+from .arith import SIEVE_BUDGET, _value_offsets, map_segments, nth_prime, primorial
 
 
 def window_bounds(k: int) -> tuple[int, int]:
@@ -132,10 +132,10 @@ def prospective_segments(
     budget: int = SIEVE_BUDGET,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Prospective primes of level k in [lo, hi], increasing, as one
-    (start, offsets) pair per segment of the range, as
-    ``arith.strike_segments`` yields them (offsets may be empty), over
-    ``prospective_range``."""
-    return strike_segments(*prospective_range(k, lo, hi), budget)
+    (start, offsets) pair per ``arith.map_segments`` chunk of
+    ``prospective_range`` (offsets may be empty): the values are
+    start + offsets.  A refusal comes at the call."""
+    return map_segments(*prospective_range(k, lo, hi), _value_offsets, budget)
 
 
 def enumerate_prospective(k: int, lo: int | None = None, hi: int | None = None) -> Iterator[int]:

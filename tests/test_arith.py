@@ -259,7 +259,7 @@ def test_pi_sieves_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("prime_count_pi sieved")
 
-    for name in ("_strike", "strike_segments", "sieve_primes"):
+    for name in ("_strike", "map_segments", "sieve_primes"):
         monkeypatch.setattr(arith, name, refuse)
     assert prime_count_pi(10**8) == PUBLISHED_PI[8]
     assert prime_count_pi(10**10) == PUBLISHED_PI[10]

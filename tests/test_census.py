@@ -37,12 +37,14 @@ FIXTURE = Path(__file__).parent / "data" / "table1.json"
 # pairs and censuses
 
 def test_consecutive_pairs_small():
-    # The gap stream the censuses read: (base, gaps) chunks.
-    chunks = list(arith.segment_gaps(prospective_segments(3)))
-    assert [g for _, gaps in chunks for g in gaps.tolist()] == [4, 2, 4, 2, 4, 6, 2]
-    assert [(base, gaps.tolist()) for base, gaps in arith.segment_gaps(prospective_segments(2))] == [
-        (5, [2])
-    ]
+    # The (start, offsets) chunks a window is read as, and the gaps
+    # between their values, seams included.
+    def values(k):
+        return [start + o for start, offsets in prospective_segments(k) for o in offsets.tolist()]
+
+    assert values(3) == [7, 11, 13, 17, 19, 23, 29, 31]
+    assert [b - a for a, b in itertools.pairwise(values(3))] == [4, 2, 4, 2, 4, 6, 2]
+    assert values(2) == [5, 7]
 
 
 def test_consecutive_pairs_range():
@@ -71,17 +73,16 @@ def test_gap_census_against_oracle():
     assert gap_census(5).entries == dict(expected)
 
 
-# Segments of 8 integers hold 4 odd values, and a segment holding one
-# prospective prime gives an empty gap chunk, which the one-step census
-# skips: the level-3, 4 and 5 streams give 1, 7 and 99 of them.
+# Serial chunks of 8 integers hold 4 odd values, and a chunk holding
+# one prospective prime has no gap of its own, only the seams on either
+# side of it, which the one-step census still counts: the level-3, 4
+# and 5 windows hold 1, 7 and 99 such chunks.
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_full_census_skips_empty_chunks(monkeypatch, k):
     monkeypatch.setattr(arith, "SEGMENT_SIZE", 8)
-    monkeypatch.setattr(arith, "FIRST_SEGMENT", 8)
-    empty = sum(
-        not len(gaps) for _, gaps in arith.segment_gaps(prospective_segments(k - 1))
-    )
-    assert empty == {4: 1, 5: 7, 6: 99}[k]
+    monkeypatch.setattr(arith, "_workers", lambda: 1)
+    lone = sum(len(offsets) == 1 for _, offsets in prospective_segments(k - 1))
+    assert lone == {4: 1, 5: 7, 6: 99}[k]
     members = oracle_prospective(k)
     assert gap_census(k).entries == dict(Counter(b - a for a, b in zip(members, members[1:])))
 

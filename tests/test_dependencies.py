@@ -231,3 +231,29 @@ def test_coprimality_to_the_wheel_lives_in_wheel():
                 assert any(
                     isinstance(arg, ast.Constant) and arg.value == 6 for arg in node.args
                 ), (module.name, node.lineno)
+
+
+def _callers(name):
+    """(module, top-level function) for every call of name, a function
+    nested in another counted as its enclosing top-level one."""
+    callers = []
+    for module in MODULES:
+        for top in ast.parse(module.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name:
+                    callers.append((module.stem, getattr(top, "name", None)))
+    return sorted(callers)
+
+
+def test_one_sieve_driver():
+    # Every segmented pass goes through map_segments, the one function
+    # that computes first indices.  The kernel is called by it, by
+    # sieve_primes on its one mask and by the lineage tree's digit space.
+    assert _callers("_first_indices") == [("arith", "map_segments")]
+    assert _callers("_strike") == [
+        ("arith", "map_segments"), ("arith", "sieve_primes"), ("census", "derive_pairs"),
+    ]

@@ -1,15 +1,17 @@
 """The pooled map over a pass's segments, ``arith.map_segments``.
 
-Every census, pair count and prospective count that reads its whole
-range cuts it into chunks of SEGMENT_SIZE // W integers, W the CPUs in
-the process's affinity mask, tallies each chunk on a thread of a pool
-and merges the tallies in order.  Each test fixes W by patching
+Every sieve pass cuts its range into chunks of SEGMENT_SIZE // W
+integers, W the CPUs in the process's affinity mask, and reduces each
+chunk on a thread of a pool: censuses, pair counts and prospective
+counts tally their chunks and merge the tallies in order, and searches,
+enumeration and ``gen`` read each chunk's values as they come.  Each test fixes W by patching
 ``arith._workers`` and most shrink SEGMENT_SIZE, so that chunk edges
 fall inside gaps and inside sums of adjacent gaps, and many chunks hold
 one value or none.  Expected values come from the oracles in conftest,
 never from the code under test."""
 
 import functools
+import itertools
 import json
 import os
 import signal
@@ -23,10 +25,10 @@ import pytest
 
 import polignac
 from polignac import arith, checks
-from polignac.census import gap_census
+from polignac.census import find_root_pair, gap_census
 from polignac.cli import main
-from polignac.primepairs import actual_pair_count
-from polignac.wheel import prospective_range, subset_bounds
+from polignac.primepairs import actual_pair_count, find_pair_above
+from polignac.wheel import enumerate_prospective, prospective_range, subset_bounds
 from conftest import oracle_primes, oracle_prospective, oracle_prospective_sieved
 
 WORKERS = [1, 2, 3]
@@ -118,6 +120,75 @@ def test_census_json_is_the_same_for_every_w(monkeypatch, capsys):
     lo, hi = subset_bounds(9, 7)
     want = gap_counts(oracle_prospective_sieved(9, lo, hi))
     assert json.loads(outputs[0])["entries"] == {str(g): str(n) for g, n in sorted(want.items())}
+
+
+def first_pair(values, g):
+    """The first consecutive pair of values with gap g, or None."""
+    return next(((a, b) for a, b in zip(values, values[1:]) if b - a == g), None)
+
+
+# A search reads a first window of FIRST_SEGMENT integers, then the rest
+# of its prefix: a window of 64 integers puts the second pass, in pooled
+# chunks, inside every window below.  Gap 100 occurs in none of them,
+# so its searches read the whole range.  The prime searches strike the
+# 39 odd primes up to sqrt(30000), few enough to pool.
+@pytest.mark.parametrize("segment", [64, 1024])
+@pytest.mark.parametrize("window", [64, 2**12])
+def test_searches(workers, monkeypatch, segment, window):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    monkeypatch.setattr(arith, "FIRST_SEGMENT", window)
+    for l in (3, 4, 5, 6):
+        members = oracle_prospective(l)
+        for g in (2, 4, 6, 8, 10, 14, 22, 100):
+            assert find_root_pair(l, g) == first_pair(members, g), (l, g)
+    primes = oracle_primes(30000)
+    for m in (0, 90, 1000, 20000, 29000):
+        above = [p for p in primes if p > m]
+        for g in (2, 4, 6, 8, 14, 34, 100):
+            assert find_pair_above(g, m, 30000) == first_pair(above, g), (m, g)
+
+
+@pytest.mark.parametrize("segment", [8, 64])
+def test_enumerate_prospective(workers, monkeypatch, segment):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    for k in (2, 3, 4, 5, 6):
+        assert list(enumerate_prospective(k)) == oracle_prospective(k), k
+    for lo, hi in ((101, 2000), (1000, 1000 + segment), ((1 << 63) - 500, (1 << 63) + 500)):
+        assert list(enumerate_prospective(16, lo, hi)) == oracle_prospective(16, lo, hi), lo
+
+
+@pytest.mark.parametrize("segment", [8, 64])
+@pytest.mark.parametrize("k, spec", [(5, None), (6, "1000:3000")])
+def test_gen(workers, monkeypatch, capsys, segment, k, spec):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
+    lo, hi = map(int, spec.split(":")) if spec else (None, None)
+    values = [str(v) for v in oracle_prospective(k, lo, hi)]
+    text = "".join(f"{v}\n" for v in values)
+    expected = {
+        "text": text,
+        "csv": "value\n" + text,
+        "json": json.dumps({"level": k, "values": values}, sort_keys=True, indent=2) + "\n",
+    }
+    for fmt, want in expected.items():
+        argv = ["gen", "-k", str(k), "--format", fmt] + (["--range", spec] if spec else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want, fmt
+
+
+# A search that stops inside a round leaves the rest of the round's
+# chunks to the pool: at W = 3 and SEGMENT_SIZE 64 a chunk spans 20
+# integers, and level 6's twin pair (17, 19) lies in the first.  An
+# enumeration left half read keeps its own round.  Pooled passes after
+# them, and the rest of the enumeration, must still be right.
+def test_search_stopped_inside_a_round(workers, monkeypatch):
+    monkeypatch.setattr(arith, "SEGMENT_SIZE", 64)
+    assert find_root_pair(6, 2) == (17, 19)
+    values, members = enumerate_prospective(6), oracle_prospective(6)
+    assert list(itertools.islice(values, 50)) == members[:50]
+    assert gap_census(7).entries == window_census(7)
+    assert find_pair_above(2, 1000, 30000) == (1019, 1021)
+    assert gap_census(6, subset=3).entries == gap_counts(oracle_prospective(6, *subset_bounds(6, 3)))
+    assert list(values) == members[50:]
 
 
 # Refusals come before any chunk is struck, and a worker's exception is

@@ -180,7 +180,7 @@ def test_bound_report_past_budget_refused_cheaply(monkeypatch):
 
     monkeypatch.setattr(arith, "_PRIMES", [])
     monkeypatch.setattr(arith, "_PRIMORIALS", [])
-    monkeypatch.setattr(arith, "strike_segments", no_pass)
+    monkeypatch.setattr(arith, "map_segments", no_pass)
     for l in (13, 14):
         tracemalloc.start()
         try:

@@ -159,22 +159,34 @@ def segmented_values(draw):
     return [shift + r for r in rel], segments
 
 
+# The same segments, read by the pair search through a source that hands
+# back the part of each segment inside the range asked for: the first
+# pair of every gap, and of a gap that never occurs, is the one np.diff
+# finds.  A first window of 1 to 401 integers puts the search's second
+# pass anywhere in the values.
 @settings(max_examples=200, deadline=None)
-@given(segmented_values())
-def test_segment_gaps_match_diff(case):
+@given(segmented_values(), st.integers(1, 401))
+def test_segment_gaps_match_diff(case, window):
     values, segments = case
-    gaps, i = [], 0
-    for base, chunk in arith.segment_gaps(segments):
-        assert base == values[i]  # base is the value before chunk[0]
-        gaps += chunk.tolist()
-        i += len(chunk)
+
+    def source(lo, hi, budget):
+        for start, offsets in segments:
+            kept = [o for o in offsets.tolist() if lo <= start + o <= hi]
+            yield start, np.array(kept, dtype=np.int64)
+
+    lo = values[0] - 50 if values else 0
     rel = np.array(values, dtype=object) - (values[0] if values else 0)
-    assert gaps == np.diff(rel.astype(np.int64)).tolist()
+    gaps = np.diff(rel.astype(np.int64)).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "FIRST_SEGMENT", window)
+        for g in {*gaps, 401}:
+            want = (values[gaps.index(g)], values[gaps.index(g) + 1]) if g in gaps else None
+            assert arith.first_pair_with_gap(source, lo, lo + 500, g, 501) == want, g
 
 
-# A pass keeps one segment alive at a time: the driver, the gap stream
-# and the consumer each drop a segment's array before the next one is
-# struck.  Peaks are in segments of int64 (8 * SEGMENT_SIZE bytes).  A
+# A pass keeps one segment alive at a time: the driver's chunks in
+# flight span one segment, and each is reduced and dropped before the
+# next round is struck.  Peaks are in segments of int64 (8 * SEGMENT_SIZE bytes).  A
 # segment's mask takes 1/16 of one.  The level-8 census keeps the
 # prod(1 - 1/p), p <= 19, ~ 0.17 of integers coprime to P_8#, and peaks
 # near 0.24 with one segment alive, 0.41 with two; the pair count keeps
@@ -365,7 +377,7 @@ def test_sieve_primes_base_case_needs_no_segments(monkeypatch):
         raise AssertionError("a segmented pass ran")
 
     primes = oracle_primes(2**21)
-    monkeypatch.setattr(arith, "strike_segments", no_pass)
+    monkeypatch.setattr(arith, "map_segments", no_pass)
     for n in [*range(3000), 2**21 - 1, 2**21]:
         assert arith.sieve_primes(n).tolist() == primes[: bisect.bisect_right(primes, n)], n
 
@@ -400,13 +412,15 @@ def test_sieve_primes_large_path_peaks_near_its_result():
     assert peak <= primes.nbytes + 4 * 2**20
 
 
-# Segmented passes per call, by strike_segments or map_segments: every
+# Segmented passes per call, all by the one driver, map_segments: every
 # base prime a call needs takes the one-mask path, so only a range past
-# sqrt(hi) costs a pass.
+# sqrt(hi) costs a pass.  bound_report makes two, the premise's root
+# search and the window's count; a search whose pair lies in its first
+# window makes one.
 @pytest.mark.parametrize(
     "call, passes",
     [
-        (lambda: bound_report(2, 8, 2), 1),
+        (lambda: bound_report(2, 8, 2), 2),
         (lambda: find_pair_above(4, 89108550, 99056789), 1),
         (lambda: theorem3_lower_bound(2, 6, 2), 0),
         (lambda: nth_prime(2000), 0),
@@ -425,8 +439,9 @@ def test_strike_segments_passes(monkeypatch, call, passes):
     monkeypatch.setattr(arith, "_PRIMES", [])
     monkeypatch.setattr(arith, "_PRIMORIALS", [])
     primepairs._window_gaps.cache_clear()
-    for name in ("strike_segments", "map_segments"):
-        monkeypatch.setattr(arith, name, counting(getattr(arith, name)))
+    driver = counting(arith.map_segments)
+    for module in (arith, wheel):
+        monkeypatch.setattr(module, "map_segments", driver)
     call()
     assert len(counted) == passes, counted
 
@@ -474,12 +489,35 @@ def test_find_pair_above_budget_is_a_prefix():
     assert find_pair_above(2, 100, 102, budget=10**6) is None
 
 
-# Segment edges while segments grow.  A pass's first segment spans 2^12
-# integers and each later one doubles, up to SEGMENT_SIZE, so its
-# segments end 2^12, 3 * 2^12, 7 * 2^12, ... integers past its first
-# value, and every SEGMENT_SIZE integers once growth stops at the cap.
-# Ranges end one odd value short of an edge, on it, and one past it; a
-# pair search's first pair straddles an edge or ends just before it.
+# A search's second pass is refused at its own call, only after the
+# first window of 2^12 integers missed.  Above m = 100015000 the base
+# primes to sqrt(m + 4096) span 9 900 integers and those to
+# sqrt(m + 9900) span 9 901: at budget 9 900 a pair in the first window
+# is answered, and one past it refused.  A prefix past 2^63 whose first
+# window lies below it is refused by its base primes' pass, to
+# sqrt(2^63), at the default budget, before the int64 bound is reached.
+def test_search_refusals_wait_for_the_second_pass():
+    m = 100015000
+    divisors = oracle_primes(10**4)
+    window = [n for n in range(m + 1, m + 2**12 + 1) if all(n % d for d in divisors)]
+    twin = next((q, r) for q, r in zip(window, window[1:]) if r - q == 2)
+    assert find_pair_above(2, m, 10**9, budget=9900) == twin
+    assert max(r - q for q, r in zip(window, window[1:])) < 200
+    with pytest.raises(ValueError, match="sieving 101:10001 exceeds the sieve budget of 9900"):
+        find_pair_above(200, m, 10**9, budget=9900)
+    with pytest.raises(ValueError, match="sieve budget"):
+        find_pair_above(2, INT64_EDGE - 5000, INT64_EDGE + 100)
+
+
+# Chunk and window edges.  A pass cuts its range into chunks of
+# SEGMENT_SIZE // W integers, W = 1 for a pass of more than
+# _POOLED_PRIMES primes, so its chunks end every chunk integers past its
+# first value.  A pair search reads a first window of FIRST_SEGMENT
+# integers and then the rest of its prefix, in chunks from the window's
+# end.  The doubling edges 2^12, 3 * 2^12, 7 * 2^12, ..., capped at
+# SEGMENT_SIZE, are probed too.  Ranges end one odd value short of an
+# edge, on it, and one past it; a search's first pair ends just before
+# an edge, straddles it, or starts just after it.
 def growth_edges(segment, span):
     size, edge, edges = min(2**12, segment), 0, []
     while edge + size <= span:
@@ -489,14 +527,25 @@ def growth_edges(segment, span):
     return edges
 
 
+def chunk_integers(segment, primes):
+    """Integers per chunk of a pass striking that many primes."""
+    workers = arith._workers() if primes <= arith._POOLED_PRIMES else 1
+    return 2 * max(segment // workers // 2, 1)
+
+
+def pass_edges(segment, span, chunk, first=0):
+    """The edges of a pass up to span, its first at first (0 for none),
+    then every chunk integers, with the doubling edges."""
+    edges = range(first or chunk, span + 1, chunk)
+    return sorted({*edges, *growth_edges(segment, span)})
+
+
 EDGE_CASES = [  # (SEGMENT_SIZE, integers spanned by the edges checked)
-    (2**21, 2**19),  # the real size: the first 7 growth edges
-    (2**22, 2**19),  # a patched cap of 2^22: the same 7 growth edges
-    (2**13, 2**17),  # growth stops after one doubling
-    (2**15, 2**17),  # ... after three
-    # The real size: all 9 growth edges, one cap edge.
+    (2**21, 2**19),  # the real size
+    (2**22, 2**19),  # a patched size of 2^22
+    (2**13, 2**17),  # 2^12-integer chunks at W = 2
+    (2**15, 2**17),
     pytest.param(2**21, 2**22, marks=pytest.mark.slow),
-    # A patched cap of 2^22: all 10 growth edges, one cap edge.
     pytest.param(2**22, 2**23, marks=pytest.mark.slow),
 ]
 CENSUS_LO = 1001  # odd, so the census pass starts at it
@@ -517,7 +566,7 @@ def test_gap_census_on_growth_edges(monkeypatch, segment, span):
     monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
     members = edge_members(span)
     gaps = [b - a for a, b in zip(members, members[1:])]
-    for edge in growth_edges(segment, span):
+    for edge in pass_edges(segment, span, chunk_integers(segment, 7)):
         for hi in (CENSUS_LO + edge - 3, CENSUS_LO + edge - 1, CENSUS_LO + edge + 1):
             n = bisect.bisect_right(members, hi)
             want = dict(Counter(gaps[: n - 1]))
@@ -531,7 +580,8 @@ def test_actual_pair_count_on_growth_edges(monkeypatch, segment, span):
     primes = edge_primes(span)
     lo = span // 2 + 1000
     start = lo + 1
-    for edge in growth_edges(segment, span):
+    base = bisect.bisect_right(primes, math.isqrt(start + span)) - 1  # odd ones
+    for edge in pass_edges(segment, span, chunk_integers(segment, base)):
         for last in (start + edge - 3, start + edge - 1, start + edge + 1):
             a, b = bisect.bisect_right(primes, lo), bisect.bisect_left(primes, last + 1)
             inside = primes[a:b]
@@ -543,13 +593,16 @@ def test_actual_pair_count_on_growth_edges(monkeypatch, segment, span):
 @pytest.mark.parametrize("segment, span", EDGE_CASES)
 def test_find_pair_above_first_pair_on_growth_edges(monkeypatch, segment, span):
     # For each edge, the first gap-g pair (q, q + g) whose gap recurs no
-    # closer than the edge: the search from m = q + 1 - edge starts at
-    # q + 2 - edge, so q ends one segment and q + g opens the next; from
-    # m = q + g + 1 - edge the pair ends the segment.
+    # closer than the edge: the search from m = q + g + 1 - edge starts
+    # at q + g + 2 - edge, so the pair ends just before the edge; from
+    # m = q + 1 - edge, q ends one piece and q + g opens the next; from
+    # m = q - 1 - edge, q opens the piece after the edge.  The window of
+    # 2^12 integers is the first edge, and the second pass's chunks, of
+    # more than _POOLED_PRIMES base primes, are SEGMENT_SIZE integers.
     monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
     primes = edge_primes(span)
     limit = primes[-1]
-    for edge in growth_edges(segment, span):
+    for edge in pass_edges(segment, span, segment, arith.FIRST_SEGMENT):
         last = {}
         for q, r in zip(primes, primes[1:]):
             g = r - q
@@ -558,7 +611,7 @@ def test_find_pair_above_first_pair_on_growth_edges(monkeypatch, segment, span):
             last[g] = q
         else:
             raise AssertionError(f"no pair isolated by {edge} below {limit}")
-        for m in (q + 1 - edge, q + g + 1 - edge):
+        for m in (q + g + 1 - edge, q + 1 - edge, q - 1 - edge):
             assert find_pair_above(g, m, limit) == (q, r), (edge, g, m)
 
 

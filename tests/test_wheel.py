@@ -234,7 +234,7 @@ def test_walks_sieve_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("sieved")
 
-    monkeypatch.setattr(wheel, "strike_segments", refuse)
+    monkeypatch.setattr(wheel, "map_segments", refuse)
     assert calls() == expected
 
 
