@@ -39,16 +39,17 @@ calls no public function.
 
 Every pass is a ``map_segments`` pass.  ``tally_gaps`` and
 ``prime_gap_tally`` reduce each chunk to a ``GapTally`` (its first and
-last value, first and last gap, and the histograms of its gaps and, for
-the one-step census, of the sums of adjacent gaps) and merge the
-tallies in order, adding the gaps across the seams.
+last value and the histogram of its gaps) and merge the tallies in
+order, adding the gaps across the seams; the one-step census of
+``census`` reduces its chunks by a reduce of its own.
 ``prime_segments`` and ``wheel.prospective_segments`` reduce each chunk
 to (start, offsets), its values start + offsets with start a Python
 int, so chunks past 2^63 stay exact; ``gen``, ``sieve_primes`` and the
 pair searches read them.  The searches of ``first_pair_with_gap`` read
 a first window of ``FIRST_SEGMENT`` integers, so a pair a few values
-in costs one small pass, and only on a miss a second pass over the rest
-of their prefix; they carry the last value across chunk edges.
+in costs one small pass, and only on a miss windows eight times as long
+in turn, up to ``SEGMENT_SIZE``, and then the rest of their prefix;
+they carry the last value across chunk edges.
 
 Every pass's base primes come from ``sieve_primes``, which up to
 SEGMENT_SIZE is one odd-only mask struck by one kernel call, and above
@@ -68,14 +69,14 @@ budget integers, checked once per pass by ``_require_span`` before the
 pass allocates anything, so every window, subset, range and pair search
 is refused by the same test; ``prime_segments`` checks its range pass
 before it sieves its base primes, so a range past the budget is refused
-before any sieve.  A pair search, ``first_pair_with_gap``, reads only the
-first budget integers of its range, and is refused only when they hold
-no pair and the range runs on; its second pass is refused at its own
-call, after the first window missed.  A prime count may cost at most budget
-units of r * isqrt(r), r = isqrt(x), about x^(3/4), checked before any
-array is allocated.  The default, 2^28, admits the full level-9 window
-(P_9# ~ 2.2e8) and refuses the level-10 one (~6.5e9); it admits pi(x)
-up to x ~ 1.7e11.
+before any sieve.  A pair search, ``first_pair_with_gap``, reads only
+the first budget integers of its range, and is refused only when they
+hold no pair and the range runs on; each later pass is refused at its
+own call, after the windows before it missed.  A prime count may cost
+at most budget units of r * isqrt(r), r = isqrt(x), about x^(3/4),
+checked before any array is allocated.  The default, 2^28, admits the
+full level-9 window (P_9# ~ 2.2e8) and refuses the level-10 one
+(~6.5e9); it admits pi(x) up to x ~ 1.7e11.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ SIEVE_BUDGET = 1 << 28
 # segment's primes stride over stays cache-resident.
 SEGMENT_SIZE = 1 << 21
 
-# Integers in a pair search's first window: a search reads the rest of
-# its prefix only when this window holds no pair.
+# Integers in a pair search's first window: a search reads on, in
+# windows eight times as long, only when this window holds no pair.
 FIRST_SEGMENT = 1 << 12
 
 # Strong-probable-prime bases: the first 13 primes.  Sorenson & Webster
@@ -284,19 +285,12 @@ def _pooled(task: Callable[[int], _T], items: range, workers: int) -> Iterator[_
 
 class GapTally(NamedTuple):
     """The gaps between consecutive values of a range: its first and
-    last value, its first and last gap (None with fewer than two
-    values), and two histograms indexed by gap, of the gaps and of the
-    sums of adjacent gaps (empty unless asked for)."""
+    last value (None with no value), and the histogram of its gaps,
+    indexed by gap."""
 
     first: int | None
     last: int | None
-    head: int | None
-    tail: int | None
     singles: np.ndarray
-    sums: np.ndarray
-
-
-_NO_COUNTS = np.zeros(0, dtype=np.int64)
 
 
 def _add_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -308,25 +302,17 @@ def _add_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _tally_offsets(start: int, offsets: np.ndarray, step: int, sums: bool) -> GapTally | None:
+def _tally_offsets(start: int, offsets: np.ndarray, step: int) -> GapTally | None:
     """The GapTally of the values start + step * offsets (None when
-    there are none), with the gaps and their sums taken in place in
-    offsets.  Their histograms are counted in units of step and spread
-    out by step, so the offsets are never scaled."""
+    there are none), with the gaps taken in place in offsets.  Their
+    histogram is counted in units of step and spread out by step, so the
+    offsets are never scaled."""
     if not len(offsets):
         return None
     first, last = start + step * int(offsets[0]), start + step * int(offsets[-1])
     gaps = offsets[:-1]
     np.subtract(offsets[1:], gaps, out=gaps)
-    head = tail = None
-    if len(gaps):
-        head, tail = step * int(gaps[0]), step * int(gaps[-1])
-    singles = _spread(np.bincount(gaps), step)
-    pairs = _NO_COUNTS
-    if sums and len(gaps) > 1:
-        np.add(gaps[:-1], gaps[1:], out=gaps[:-1])
-        pairs = _spread(np.bincount(gaps[:-1]), step)
-    return GapTally(first, last, head, tail, singles, pairs)
+    return GapTally(first, last, _spread(np.bincount(gaps), step))
 
 
 def _spread(counts: np.ndarray, step: int) -> np.ndarray:
@@ -338,47 +324,32 @@ def _spread(counts: np.ndarray, step: int) -> np.ndarray:
     return spread
 
 
-def _merge_gaps(tallies: Iterable[GapTally | None], sums: bool) -> GapTally:
+def _merge_gaps(tallies: Iterable[GapTally | None]) -> GapTally:
     """The GapTally of consecutive runs of values, from theirs in order
     (None, or a tally with no first value, for a run with no value): the
     gap across each seam, from one run's last value to the next one's
-    first, is added to the singles, and, with sums, its sums with the
-    gaps on either side of it."""
-    first = last = head = tail = None
-    singles = pairs = _NO_COUNTS
+    first, is added to the singles."""
+    first = last = None
+    singles = np.zeros(0, dtype=np.int64)
     seams: list[int] = []
-    seam_sums: list[int] = []
     for run in tallies:
         if run is None or run.first is None:
             continue
         singles = _add_counts(singles, run.singles)
-        pairs = _add_counts(pairs, run.sums)
         if last is None:
-            first, head = run.first, run.head
+            first = run.first
         else:
-            seam = run.first - last
-            seams.append(seam)
-            if sums:
-                seam_sums += [tail + seam] if tail is not None else []
-                seam_sums += [seam + run.head] if run.head is not None else []
-            head = seam if head is None else head
-            tail = seam
+            seams.append(run.first - last)
         last = run.last
-        tail = run.tail if run.tail is not None else tail
-    singles = _add_counts(singles, np.bincount(seams))
-    pairs = _add_counts(pairs, np.bincount(seam_sums))
-    return GapTally(first, last, head, tail, singles, pairs)
+    return GapTally(first, last, _add_counts(singles, np.bincount(seams)))
 
 
-def tally_gaps(
-    lo: int, hi: int, primes: np.ndarray, budget: int = SIEVE_BUDGET, sums: bool = False
-) -> GapTally:
+def tally_gaps(lo: int, hi: int, primes: np.ndarray, budget: int = SIEVE_BUDGET) -> GapTally:
     """The GapTally of the odd values in [lo, hi] divisible by none of
-    the odd primes, with the sums of adjacent gaps when sums is set: one
-    ``map_segments`` pass, each chunk tallied on its worker thread and
-    the chunks merged here, in order."""
-    tally = functools.partial(_tally_offsets, step=2, sums=sums)
-    return _merge_gaps(map_segments(lo, hi, primes, tally, budget), sums)
+    the odd primes: one ``map_segments`` pass, each chunk tallied on its
+    worker thread and the chunks merged here, in order."""
+    tally = functools.partial(_tally_offsets, step=2)
+    return _merge_gaps(map_segments(lo, hi, primes, tally, budget))
 
 
 def _value_offsets(start: int, offsets: np.ndarray) -> tuple[int, np.ndarray]:
@@ -409,10 +380,10 @@ def prime_gap_tally(lo: int, hi: int, budget: int = SIEVE_BUDGET) -> GapTally:
     """The GapTally of the primes in [lo, hi]: those up to sqrt(hi) from
     ``_prime_pass``, merged with the ``tally_gaps`` pass over the rest."""
     if hi < 2:
-        return _merge_gaps([], False)
+        return _merge_gaps([])
     head, range_lo, odd = _prime_pass(lo, hi, budget)
     rest = tally_gaps(range_lo, hi, odd, budget)
-    return _merge_gaps([_tally_offsets(0, head, 1, False), rest], False)
+    return _merge_gaps([_tally_offsets(0, head, 1), rest])
 
 
 def _prime_pass(lo: int, hi: int, budget: int) -> tuple[np.ndarray, int, np.ndarray]:
@@ -453,16 +424,23 @@ def first_pair_with_gap(
     when the prefix is the whole range and holds no pair.
 
     segments(lo, hi, budget) gives the (start, offsets) chunks of the
-    values in [lo, hi], start + offsets.  A first pass reads the first
-    FIRST_SEGMENT integers of the prefix, so a pair a few values in
-    costs one small pass; only when they hold no pair does a second pass
-    read the rest.  Each chunk is scanned as it comes, and its last value
-    is carried, so a pair across a chunk edge is seen.  When the prefix
-    holds no pair and the range runs on past it, the search is refused.
+    values in [lo, hi], start + offsets.  The prefix is read in passes
+    over windows that end FIRST_SEGMENT * 8^i integers in, up to the
+    first that reaches SEGMENT_SIZE (2^12, 2^15, 2^18 and 2^21 by
+    default), and then over the rest, each pass made only when the ones
+    before it hold no pair: a pair a few values in costs one small pass,
+    and one just past a window costs a window eight times as long, not a
+    round of SEGMENT_SIZE integers.  Each chunk is scanned as it comes,
+    and its last value is carried, so a pair across a chunk edge is
+    seen.  When the prefix holds no pair and the range runs on past it,
+    the search is refused.
     """
     hi = min(end, lo + budget - 1)
-    cut = min(hi, lo + FIRST_SEGMENT - 1)
-    passes = (segments(a, b, budget) for a, b in ((lo, cut), (cut + 1, hi)) if a <= b)
+    cuts, width = [lo - 1], FIRST_SEGMENT
+    while cuts[-1] < hi:
+        cuts.append(min(hi, lo + width - 1))
+        width = 8 * width if width < SEGMENT_SIZE else hi - lo + 1
+    passes = (segments(a + 1, b, budget) for a, b in zip(cuts, cuts[1:]))
     last = None
     for start, offsets in itertools.chain.from_iterable(passes):
         if not len(offsets):

@@ -8,10 +8,10 @@ of adjacent gaps, exhaustive lineage trees for a single root pair with
 the closed-form count they must match, the search for a lineage's root
 pair among the window's first budget integers (by
 ``arith.first_pair_with_gap`` over ``wheel.prospective_segments``, which
-reads a first window of ``arith.FIRST_SEGMENT`` integers and the rest
-of the prefix only on a miss), subset boundary-gap spectra (from the
-walk of ``wheel.subset_extremes``), and the constant separation of the
-two disallowed indices attached to a gap-g pair.  The per-subset minimum
+reads a first window of ``arith.FIRST_SEGMENT`` integers, and longer
+windows and the rest of the prefix only on a miss), subset boundary-gap
+spectra (from the walk of ``wheel.subset_extremes``), and the constant
+separation of the two disallowed indices attached to a gap-g pair.  The per-subset minimum
 of a root pair's descendants is checked by
 ``checks.check_per_subset_minima``.
 
@@ -33,8 +33,13 @@ the cyclic level-(k - 1) gaps G_i
     C_k(g) = (P_k - 2) #{i : G_i = g} + #{i : G_i + G_{i+1} = g},
 
 less one at the level-k wrap gap P_{k+1} - 1, exact while every
-G_i < 2 P_k.  One pass over the level-(k - 1) window, P_k times fewer
-integers, gives the level-k census; subsets and ranges are sieved.
+G_i < 2 P_k.  One ``arith.map_segments`` pass over the level-(k - 1)
+window, P_k times fewer integers, gives the level-k census.  Its
+reduce, ``_cycle_counts``, is this module's own: it counts each chunk's
+gaps and sums of adjacent gaps on the chunk's worker thread, and the
+caller counts those across the seams, the wrap among them, from the
+values it carries across them; ``arith``'s gap tally knows nothing of
+sums.  Subsets and ranges are sieved.
 
 A lineage tree is one sieve over the digit space.  The descendants of
 a root (a, a + g) of level l at level k are the x = a + t P_l#, t below
@@ -61,8 +66,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (
-    SIEVE_BUDGET, _add_counts, _strike, first_pair_with_gap, is_prime, nth_prime, primorial,
-    tally_gaps,
+    SIEVE_BUDGET, _add_counts, _strike, first_pair_with_gap, is_prime, map_segments, nth_prime,
+    primorial, tally_gaps,
 )
 from .wheel import (
     is_consecutive,
@@ -115,8 +120,10 @@ def gap_census(
     np.bincount on the threads of its pool.  A subset
     spans one copy of the level-(k - 1) window, so it costs what that
     window does.  The full window at level k >= 3 is not sieved: it
-    follows from one pass over the level-(k - 1) window, P_k times
-    fewer integers, by the identity of ``_one_step_census``,
+    follows from one ``arith.map_segments`` pass over the level-(k - 1)
+    window, P_k times fewer integers, whose chunks ``_cycle_counts``
+    tallies on the same threads, by the identity of
+    ``_one_step_census``,
 
         C_k(g) = (P_k - 2) #{i : G_i = g} + #{i : G_i + G_{i+1} = g},
 
@@ -161,24 +168,50 @@ def _one_step_census(k: int, budget: int) -> dict[int, int]:
 
     with i + 1 taken mod n.  The window [5, 4 + P_k#] leaves out the one
     level-k wrap gap, P_{k+1} - 1.  A level-(k - 1) gap that P_k divides
-    is refused.  ``arith.tally_gaps`` counts the gaps of the window and
-    the sums of adjacent ones, seams included, and its first and last
-    gap close the cycle with the wrap gap.
+    is refused.
+
+    One ``arith.map_segments`` pass counts each chunk's gaps and sums
+    by ``_cycle_counts``, on the chunk's worker thread.  The gaps and
+    sums across each seam come from the last two values before it and
+    the first two after it.  Those before the first seam are the
+    window's last two, P_{k-1}# - 1 and P_{k-1}# + 1, shifted back one
+    period to -1 and 1, so the first seam is the wrap and the cycle
+    closes with no gap added by hand.
     """
     p = nth_prime(k)
-    window = tally_gaps(*prospective_range(k - 1), budget, sums=True)
-    wrap = p - 1
-    singles = _add_counts(window.singles, np.bincount([wrap]))
-    pairs = _add_counts(window.sums, np.bincount([window.tail + wrap, wrap + window.head]))
+    singles = pairs = np.zeros(0, dtype=np.int64)
+    seams, seam_sums, carry = [], [], [-1, 1]
+    for head, tail, gaps, sums in map_segments(*prospective_range(k - 1), _cycle_counts, budget):
+        if head:
+            edge = carry + head
+            seams.append((edge[2] - edge[1]) // 2)
+            seam_sums += [(b - a) // 2 for a, b in zip(edge, edge[2:])]
+            carry = (carry + tail)[-2:]
+        singles, pairs = _add_counts(singles, gaps), _add_counts(pairs, sums)
+    singles = _add_counts(singles, np.bincount(seams))
+    pairs = _add_counts(pairs, np.bincount(seam_sums))
     if singles[p::p].any():
         raise ValueError(f"a level-{k - 1} gap is a multiple of P_{k} = {p}: "
                          f"one propagation step cannot count level {k}")
     entries: Counter[int] = Counter()
     for weight, counts in ((p - 2, singles), (1, pairs)):
-        for g in np.flatnonzero(counts).tolist():
-            entries[g] += weight * int(counts[g])
+        for half in np.flatnonzero(counts).tolist():
+            entries[2 * half] += weight * int(counts[half])
     entries[nth_prime(k + 1) - 1] -= 1
     return {g: n for g, n in sorted(entries.items()) if n}
+
+
+def _cycle_counts(start: int, offsets: np.ndarray) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """A chunk of the one-step census, its values start + 2 * offsets:
+    its first two and last two values, and the histograms of its gaps
+    and of the sums of adjacent gaps, in units of 2, both taken in place
+    in offsets."""
+    head, tail = ([start + 2 * o for o in part.tolist()] for part in (offsets[:2], offsets[-2:]))
+    gaps = offsets[:-1]
+    np.subtract(offsets[1:], gaps, out=gaps)
+    singles = np.bincount(gaps)
+    np.add(gaps[:-1], gaps[1:], out=gaps[:-1])
+    return head, tail, singles, np.bincount(gaps[:-1])
 
 
 def require_gap(g: int) -> None:

@@ -37,15 +37,15 @@ share one pass; a call at another level, or with another budget, makes
 a full pass over its window and replaces the entry.  The pair search is
 ``arith.first_pair_with_gap`` over the ``arith.prime_segments`` of the
 first budget integers above M: a first window of ``arith.FIRST_SEGMENT``
-integers, the rest only on a miss, stopping at the first chunk with a
-hit.
+integers, longer windows and the rest only on a miss, stopping at the
+first chunk with a hit.
 """
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -156,26 +156,14 @@ class BoundReport:
             "g": self.g,
             "k": self.k,
             "window": [str(self.window[0]), str(self.window[1])],
-            "bound_exact": f"{_decimal(self.bound.numerator)}/{_decimal(self.bound.denominator)}",
+            # Decimal prints an int past the interpreter's int-to-str limit of
+            # 4300 digits: the level-10 bound's numerator has 7 746.
+            "bound_exact": "/".join(str(decimal.Decimal(n)) for n in self.bound.as_integer_ratio()),
             "bound": float(self.bound),
             "observed": str(self.observed),
             "n_root": str(self.n_root),
             "holds": self.holds,
         }
-
-
-def _decimal(n: int) -> str:
-    """n in decimal, past the interpreter's limit on int-to-str digits
-    (4300 by default): the level-10 bound's numerator has 7 746.  The
-    limit is lifted for this one conversion and then restored."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        return str(n)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def bound_report(r: int, l: int, g: int, budget: int = SIEVE_BUDGET) -> BoundReport:

@@ -24,7 +24,8 @@ them that hands back each chunk's survivors as a (start, offsets) pair;
 ``enumerate_prospective`` adds the start back value by value, as Python
 ints, so windows past 2^63 work.  The gap census hands the same range
 and primes to ``arith.tally_gaps``, which tallies each chunk on its
-worker.
+worker, or, for the one propagation step of a full window, straight to
+``arith.map_segments`` with a reduce of its own.
 
 Every level above ``arith.MAX_PRIMORIAL_INDEX`` (25) is refused, since
 ``arith.primorial`` refuses its index.  Up to it, no level is refused

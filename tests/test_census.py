@@ -140,6 +140,28 @@ def test_full_census_budget_is_one_pass_over_the_level_below():
         gap_census(11)
 
 
+# The identity holds while every level-(k - 1) gap is below 2 P_k, and
+# a gap that P_k divides is refused.  With P_4 read as 3, the level-3
+# gaps 2, 4 and 6 include 6, so the level-4 census is refused.  With a
+# P_4 that divides none of them it answers what the identity gives over
+# the level-3 cyclic gaps of the oracle, less one at the wrap gap P_5 - 1.
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_one_step_refuses_a_gap_that_p_k_divides(monkeypatch, p):
+    real = census.nth_prime
+    monkeypatch.setattr(census, "nth_prime", lambda i: p if i == 4 else real(i))
+    members = oracle_prospective(3)
+    cyclic = [b - a for a, b in zip(members, members[1:])] + [members[0] + primorial(3) - members[-1]]
+    assert sorted(set(cyclic)) == [2, 4, 6]
+    if p == 3:
+        with pytest.raises(ValueError, match="a level-3 gap is a multiple of P_4 = 3"):
+            gap_census(4)
+        return
+    want = Counter({g: (p - 2) * n for g, n in Counter(cyclic).items()})
+    want.update(a + b for a, b in zip(cyclic, cyclic[1:] + cyclic[:1]))
+    want[nth_prime(5) - 1] -= 1
+    assert gap_census(4).entries == {g: n for g, n in sorted(want.items()) if n}
+
+
 def test_gap_census_entries_are_plain_ints():
     entries = gap_census(4).entries
     assert all(type(g) is int and type(c) is int for g, c in entries.items())

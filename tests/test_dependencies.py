@@ -257,3 +257,17 @@ def test_one_sieve_driver():
     assert _callers("_strike") == [
         ("arith", "map_segments"), ("arith", "sieve_primes"), ("census", "derive_pairs"),
     ]
+
+
+def test_gap_tally_carries_no_census_sums():
+    # The sums of adjacent gaps serve the one-step census alone, which
+    # counts them itself: arith's gap tally is the first and last value
+    # and the gap histogram, and no arith function takes sums.
+    from polignac import arith
+
+    assert arith.GapTally._fields == ("first", "last", "singles")
+    for node in ast.walk(ast.parse(Path(arith.__file__).read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            assert "sums" not in names, getattr(node, "name", "lambda")

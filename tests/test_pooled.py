@@ -13,6 +13,7 @@ never from the code under test."""
 import functools
 import itertools
 import json
+import math
 import os
 import signal
 import subprocess
@@ -55,12 +56,37 @@ def oracle_pair_count(g, lo, hi):
     return sum(r - q == g for q, r in zip(primes, primes[1:]))
 
 
+def last_chunk_size(k, flags):
+    """The least chunk size, in odd values, of at least a 64th of the
+    level-(k - 1) window's odd values (so that a pass makes at most about
+    64 chunks), whose last chunk holds that window's last flags odd
+    values.  The window [5, 4 + P_{k-1}#] ends on P_{k-1}# - 1,
+    P_{k-1}# + 1 and P_{k-1}# + 3, a multiple of 3: a last chunk of 1, 2
+    or 3 odd values holds no value, one value, or two."""
+    count = math.prod(oracle_primes(20)[: k - 1]) // 2  # odd values in the window
+    return next(s for s in range(max(count // 64, flags), count + 1) if (count - 1) % s + 1 == flags)
+
+
+LAST_CHUNK = {"last-empty": 1, "last-one": 2, "last-two": 3}
+
+
 # At SEGMENT_SIZE 8 and W = 3 a chunk spans 2 integers, one odd value:
 # every seam of the level-2..4 windows falls inside a gap and inside the
 # sums of the gaps on either side of it.  The one-step census of level k
-# reads the level-(k - 1) window.
-@pytest.mark.parametrize("k, segment", [(3, 8), (4, 8), (5, 8), (6, 16), (7, 64), (8, 2**10)])
+# reads the level-(k - 1) window, and carries its last two values across
+# each chunk edge, from the two before its first that close the cycle:
+# the LAST_CHUNK cases cut that window so that its last chunk holds no
+# value, one value or two, at every W.  The level-2 window under k = 3
+# holds the odd values 5, 7 and 9 only, and no cut into chunks from 5
+# leaves one value in its last chunk.
+@pytest.mark.parametrize(
+    "k, segment",
+    [(3, 8), (4, 8), (5, 8), (6, 16), (7, 64), (8, 2**10),
+     *((k, last) for k in range(3, 9) for last in LAST_CHUNK if (k, last) != (3, "last-one"))],
+)
 def test_full_census(workers, monkeypatch, k, segment):
+    if segment in LAST_CHUNK:
+        segment = 2 * workers * last_chunk_size(k, LAST_CHUNK[segment])
     monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
     assert gap_census(k).entries == window_census(k)
 
@@ -127,9 +153,10 @@ def first_pair(values, g):
     return next(((a, b) for a, b in zip(values, values[1:]) if b - a == g), None)
 
 
-# A search reads a first window of FIRST_SEGMENT integers, then the rest
-# of its prefix: a window of 64 integers puts the second pass, in pooled
-# chunks, inside every window below.  Gap 100 occurs in none of them,
+# A search reads a first window of FIRST_SEGMENT integers, then windows
+# eight times as long up to SEGMENT_SIZE, then the rest of its prefix: a
+# first window of 64 integers puts the later passes, in pooled chunks,
+# inside every window below.  Gap 100 occurs in none of them,
 # so its searches read the whole range.  The prime searches strike the
 # 39 odd primes up to sqrt(30000), few enough to pool.
 @pytest.mark.parametrize("segment", [64, 1024])

@@ -472,6 +472,25 @@ def test_search_strikes_what_it_reads(monkeypatch, search):
     assert 0 < sum(struck) <= 2 * 2**12, struck
 
 
+# A search whose pair lies just past its first window reads the next
+# window, which ends 2^15 integers in, not a round of SEGMENT_SIZE
+# integers: level 10's first gap-24 pair, (4523, 4547), lies 4 518
+# integers in.  Integers are counted as two per flag, the base primes'
+# flags included.
+def test_search_past_its_first_window_strikes_the_next_window(monkeypatch):
+    struck = []
+    strike = arith._strike
+
+    def counting(size, *args):
+        struck.append(size)
+        return strike(size, *args)
+
+    assert find_root_pair(10, 24) == (4523, 4547)  # fills the prime table outside the counted run
+    monkeypatch.setattr(arith, "_strike", counting)
+    assert find_root_pair(10, 24) == (4523, 4547)
+    assert 0 < 2 * sum(struck) <= 2**15 + 2**12, struck
+
+
 def test_find_pair_above_budget_is_a_prefix():
     # The search covers (M, min(limit, M + budget)]: a pair is found once
     # its upper member is inside, and refused one integer short, since
@@ -512,12 +531,14 @@ def test_search_refusals_wait_for_the_second_pass():
 # Chunk and window edges.  A pass cuts its range into chunks of
 # SEGMENT_SIZE // W integers, W = 1 for a pass of more than
 # _POOLED_PRIMES primes, so its chunks end every chunk integers past its
-# first value.  A pair search reads a first window of FIRST_SEGMENT
-# integers and then the rest of its prefix, in chunks from the window's
-# end.  The doubling edges 2^12, 3 * 2^12, 7 * 2^12, ..., capped at
-# SEGMENT_SIZE, are probed too.  Ranges end one odd value short of an
-# edge, on it, and one past it; a search's first pair ends just before
-# an edge, straddles it, or starts just after it.
+# first value.  A pair search reads windows that end FIRST_SEGMENT * 8^i
+# integers in (2^12, 2^15, 2^18 and 2^21 at the real sizes) and then the
+# rest of its prefix, each pass in chunks from its own start.  The
+# doubling edges 2^12, 3 * 2^12, 7 * 2^12, ..., capped at SEGMENT_SIZE,
+# and chunk edges from the first window's end, are probed too.  Ranges
+# end one odd value short of an edge, on it, and one past it; a search's
+# first pair ends just before an edge, straddles it, or starts just
+# after it.
 def growth_edges(segment, span):
     size, edge, edges = min(2**12, segment), 0, []
     while edge + size <= span:
@@ -538,6 +559,18 @@ def pass_edges(segment, span, chunk, first=0):
     then every chunk integers, with the doubling edges."""
     edges = range(first or chunk, span + 1, chunk)
     return sorted({*edges, *growth_edges(segment, span)})
+
+
+def search_edges(segment, span, chunk):
+    """The edges of a pair search's passes up to span: windows that end
+    FIRST_SEGMENT * 8^i integers in, up to the first that reaches
+    segment, then one pass over the rest, each cut into chunks of chunk
+    integers from its own start."""
+    ends = [arith.FIRST_SEGMENT]
+    while ends[-1] < segment:
+        ends.append(8 * ends[-1])
+    passes = zip([0, *ends], [*ends, span])
+    return {edge for a, b in passes for edge in (*range(a + chunk, b, chunk), b) if edge <= span}
 
 
 EDGE_CASES = [  # (SEGMENT_SIZE, integers spanned by the edges checked)
@@ -596,13 +629,16 @@ def test_find_pair_above_first_pair_on_growth_edges(monkeypatch, segment, span):
     # closer than the edge: the search from m = q + g + 1 - edge starts
     # at q + g + 2 - edge, so the pair ends just before the edge; from
     # m = q + 1 - edge, q ends one piece and q + g opens the next; from
-    # m = q - 1 - edge, q opens the piece after the edge.  The window of
-    # 2^12 integers is the first edge, and the second pass's chunks, of
-    # more than _POOLED_PRIMES base primes, are SEGMENT_SIZE integers.
+    # m = q - 1 - edge, q opens the piece after the edge.  The first
+    # window, of 2^12 integers, is the first edge; each later window ends
+    # eight times as far in, up to the first that reaches SEGMENT_SIZE,
+    # and each pass's chunks, of more than _POOLED_PRIMES base primes,
+    # are SEGMENT_SIZE integers from its own start.
     monkeypatch.setattr(arith, "SEGMENT_SIZE", segment)
     primes = edge_primes(span)
     limit = primes[-1]
-    for edge in pass_edges(segment, span, segment, arith.FIRST_SEGMENT):
+    edges = {*pass_edges(segment, span, segment, arith.FIRST_SEGMENT), *search_edges(segment, span, segment)}
+    for edge in sorted(edges):
         last = {}
         for q, r in zip(primes, primes[1:]):
             g = r - q
